@@ -20,6 +20,16 @@ class PatternError(ReproError, ValueError):
     """A sparsity pattern is malformed (unsorted, duplicated, out of range)."""
 
 
+class NonFiniteError(ReproError, ValueError):
+    """An operand that must be finite holds a NaN or an infinity.
+
+    Raised up front by the CG solvers for a non-finite right-hand side or
+    initial guess: an ``inf`` would otherwise pass the ``‖r₀‖ ≤ threshold``
+    check as ``inf <= inf`` and report convergence after 0 iterations, and
+    a NaN would run the whole iteration budget.
+    """
+
+
 class NotSymmetricError(ReproError, ValueError):
     """A matrix required to be (structurally or numerically) symmetric is not."""
 

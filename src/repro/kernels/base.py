@@ -271,13 +271,18 @@ class KernelBackend(ABC):
 
     def _fsai_setup_build(
         self, keys, a_data, n_cols, indptr, indices, rows_parts, group, K,
+        lower=None,
     ) -> np.ndarray:
-        # Default: vectorized packed lower-triangle gather via one
-        # searchsorted over all k(k+1)/2 queries per bucket.  Gathered
-        # values are exact copies of a_data (or exact 0.0), so any
-        # override is automatically bit-compatible.
+        # Default: vectorized packed lower-triangle gather.  Buckets whose
+        # tril(A) rows are short next to k(k+1)/2 expand those rows and
+        # look each column up in the bucket's own sorted keys; the rest
+        # probe every lower pair in A's keys (see gather_group_stack).
+        # ``lower`` is lower_row_spans, built once per op call.
+        # Gathered values are exact copies of a_data (or exact +0.0), so
+        # either lookup, and any override, is bit-compatible.
         return gather_group_stack(
             keys, a_data, n_cols, indptr, indices, rows_parts, group, K,
+            lower,
         )
 
     def _fsai_setup_solve(self, systems: np.ndarray) -> np.ndarray:

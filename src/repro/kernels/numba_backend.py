@@ -487,7 +487,9 @@ if NUMBA_AVAILABLE:  # pragma: no cover - compiled paths need numba
             return x_next
 
         def _fsai_setup_build(self, keys, a_data, n_cols, indptr, indices,
-                              rows_parts, group, K) -> np.ndarray:
+                              rows_parts, group, K, lower=None) -> np.ndarray:
+            # One binary search per lower pair and thread; ``lower`` (the
+            # numpy gather's tril(A) row spans) is not needed here.
             rows = (np.concatenate(rows_parts) if rows_parts
                     else np.empty(0, dtype=np.int64))
             systems = np.zeros((K, K, len(rows)))

@@ -5,7 +5,9 @@ iteration count) on every local system ``A[S_i, S_i] ĝ = e_i`` to obtain
 order-of-magnitude estimates of the factor entries — the cheap half of
 Algorithm 2 that exists purely to classify weak entries before
 filtering.  This op reuses the ``fsai_setup`` layout wholesale: the same
-packed lower-triangle binary-search gather, the same identity-padded
+packed lower-triangle gather (expanding ``tril(A)``'s rows on the long
+rows of extended patterns, probing every pair on short ones — see
+:func:`repro.kernels.setup.gather_group_stack`), the same identity-padded
 row-length groups from :func:`repro.kernels.setup.plan_groups`, the same
 batch-last ``(K, K, m)`` stacks.  What replaces the Cholesky is one
 batched CG iteration loop per group with per-system convergence masking.
@@ -74,7 +76,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.setup import plan_groups
+from repro.kernels.setup import lower_row_spans, plan_groups
 
 __all__ = [
     "symmetrize",
@@ -210,13 +212,14 @@ def run_fsai_precalc(
         [a.entry_keys(), np.asarray([-1], dtype=np.int64)]
     )
     n_cols = np.int64(a.n_cols)
+    lower = lower_row_spans(keys, n_cols)
     sizes, counts = np.unique(lengths, return_counts=True)
     for group in plan_groups(sizes.tolist(), counts.tolist()):
         K = group[-1]
         rows_parts = [np.flatnonzero(lengths == k) for k in group]
         systems = backend._fsai_setup_build(
             keys, a.data, n_cols, indptr, pattern.indices,
-            rows_parts, group, K,
+            rows_parts, group, K, lower=lower,
         )
         sol = backend._fsai_precalc_solve(systems, rtol, max_iterations)
         piv = sol[-1]

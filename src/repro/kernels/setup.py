@@ -7,11 +7,17 @@ ideas, all chosen so that every backend produces **byte-identical** CSR
 data:
 
 * **Packed lower-triangle gather** — the solver touches only the lower
-  triangle of each (symmetric) local system, so the gather looks up
-  ``k(k+1)/2`` entries per row instead of ``k²``, each found by binary
-  search in the matrix's sorted :meth:`~repro.sparse.csr.CSRMatrix
-  .entry_keys`.  Gathered values are exact copies of ``A``'s data (or an
-  exact ``0.0``), so *how* a backend searches cannot change a single bit.
+  triangle of each (symmetric) local system, so the gather fills
+  ``k(k+1)/2`` entries per row instead of ``k²``.  Most of those pairs
+  are absent from ``A`` on long pattern rows, so a bucket whose
+  ``tril(A)`` rows are short next to ``k`` is built from ``A``'s side:
+  each pattern entry's column ``c`` expands ``tril(A)``'s row ``c`` and
+  every column found there is binary-searched in the bucket's own sorted
+  keys.  Other buckets probe every pair in the matrix's sorted
+  :meth:`~repro.sparse.csr.CSRMatrix.entry_keys`.  :func:`expands` is the
+  fixed rule between the two.  Either way, gathered values are exact
+  copies of ``A``'s data (or the stack's exact ``+0.0``), so *which*
+  lookup runs, and how a backend searches, cannot change a single bit.
 * **Identity-padded grouping** — row-length buckets are greedily merged
   (:func:`plan_groups`) until a group holds ``MIN_GROUP_ROWS`` systems or
   padding would exceed ``PAD_CAP``; smaller systems sit in the bottom-right
@@ -42,7 +48,7 @@ all groups are solved — the same diagnostic the LAPACK path produces.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +58,8 @@ __all__ = [
     "MIN_GROUP_ROWS",
     "PAD_CAP",
     "plan_groups",
+    "lower_row_spans",
+    "expands",
     "gather_group_stack",
     "solve_group_stack",
     "run_fsai_setup",
@@ -108,6 +116,35 @@ def plan_groups(
     return groups
 
 
+def lower_row_spans(keys: np.ndarray, n_cols) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each row of ``tril(A)`` sits in ``A``'s entry arrays.
+
+    ``keys`` is the square matrix's sorted row-major entry keys with the
+    ``-1`` sentinel appended (as passed to :func:`gather_group_stack`).
+    Columns are sorted within a row, so ``tril(A)``'s row ``c`` is the
+    prefix of ``A``'s row ``c`` up to the diagonal: returns ``(first,
+    count)``, the offset of that prefix in ``keys`` / ``a_data`` and its
+    length.  Two binary searches per row; build it once per op call.
+    """
+    n = int(n_cols)
+    rows = np.arange(n, dtype=np.int64)
+    first = np.searchsorted(keys[:-1], rows * n)
+    end = np.searchsorted(keys[:-1], rows * n + rows, side="right")
+    return first, end - first
+
+
+def expands(k: int, m: int, needles: int) -> bool:
+    """Whether a bucket of ``m`` size-``k`` systems expands ``tril(A)``'s rows.
+
+    ``needles`` is the summed ``tril(A)`` row length over the bucket's
+    pattern entries.  Expanding costs one lookup per needle in a small
+    haystack plus the expansion itself; probing costs one lookup per lower
+    pair in all of ``A``'s keys.  Expand when it needs at most half as many
+    lookups as there are pairs.
+    """
+    return 2 * needles <= k * (k + 1) // 2 * m
+
+
 def gather_group_stack(
     keys: np.ndarray,
     a_data: np.ndarray,
@@ -117,6 +154,7 @@ def gather_group_stack(
     rows_parts: Sequence[np.ndarray],
     group: Sequence[int],
     K: int,
+    lower: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """Vectorized build of one group's ``(K, K, m)`` lower stack.
 
@@ -124,23 +162,62 @@ def gather_group_stack(
     sentinel appended (so ``searchsorted`` results can be probed without
     bound checks); only the lower triangle of each local system is
     gathered, and systems smaller than ``K`` are identity-padded in the
-    top-left corner.  Pattern indices are valid by construction
-    (``_check_diagonals`` ran upstream), so no bound checking is needed.
+    top-left corner.  ``lower`` is :func:`lower_row_spans` of ``keys``
+    (computed here when omitted).  Each bucket takes one of two lookups,
+    chosen by :func:`expands`:
+
+    * **expansion** — every pattern entry ``(s, a)`` with column ``c``
+      walks ``tril(A)``'s row ``c``; each of its columns ``j`` is looked
+      up among the bucket's own sorted ``slot * n + col`` keys, and a hit
+      at position ``b`` stores ``A[c, j]`` at ``(a, b)`` of system ``s``;
+    * **pair probe** — each of the ``k(k+1)/2`` lower pairs of every
+      system is looked up in all of ``A``'s keys.
+
+    Both store each lower entry present in ``A`` as an exact copy of
+    ``a_data`` and leave every other entry at the stack's ``+0.0``, so
+    the stacks are byte-identical whichever lookup runs.  Pattern indices
+    are valid by construction (``_check_diagonals`` ran upstream), so no
+    bound checking is needed.
     """
+    first, count = lower_row_spans(keys, n_cols) if lower is None else lower
+    n = np.int64(n_cols)
     m_tot = sum(len(rows) for rows in rows_parts)
     systems = np.zeros((K, K, m_tot))
+    flat = systems.reshape(-1)
     r0 = 0
     for k, rows in zip(group, rows_parts):
-        r1 = r0 + len(rows)
-        starts = indptr[rows]
-        cols_t = indices[starts[:, None] + np.arange(k)].T  # (k, m)
-        ia, ib = _tril_pairs(k)
-        query = cols_t[ia] * n_cols + cols_t[ib]  # (k(k+1)/2, m)
-        pos = np.searchsorted(keys[:-1], query)
-        hit = keys[pos] == query
-        vals = np.where(hit, a_data[np.minimum(pos, len(keys) - 2)], 0.0)
+        m = len(rows)
+        r1 = r0 + m
         pad = K - k
-        systems[pad + ia, pad + ib, r0:r1] = vals
+        starts = indptr[rows]
+        cols = indices[starts[:, None] + np.arange(k)]  # (m, k)
+        cnt = count[cols]
+        if expands(k, m, int(cnt.sum())):
+            # Per-entry constants, repeated once per tril(A) entry: the
+            # entry's offset into keys, the shift that turns A's key
+            # c * n + j into the bucket key slot * n + j, and the flat
+            # stack index of (pad + a, pad + b, r0 + slot) less b * m_tot.
+            cnt = cnt.ravel()
+            slot = np.arange(m, dtype=np.int64)[:, None]
+            bkeys = (slot * n + cols).ravel()
+            offset = first[cols].ravel() - (np.cumsum(cnt) - cnt)
+            shift = ((slot - cols) * n).ravel()
+            base = ((pad + np.arange(k)) * (K * m_tot) + pad * m_tot + r0
+                    + slot * (1 - k * m_tot)).ravel()
+            pos = np.arange(int(cnt.sum())) + np.repeat(offset, cnt)
+            needle = keys[pos] + np.repeat(shift, cnt)
+            # j <= c, so the search never runs past the entry's own key.
+            b = np.searchsorted(bkeys, needle)
+            hit = bkeys[b] == needle
+            flat[(np.repeat(base, cnt) + b * m_tot)[hit]] = a_data[pos[hit]]
+        else:
+            cols_t = cols.T
+            ia, ib = _tril_pairs(k)
+            query = cols_t[ia] * n + cols_t[ib]  # (k(k+1)/2, m)
+            pos = np.searchsorted(keys[:-1], query)
+            hit = keys[pos] == query
+            vals = np.where(hit, a_data[np.minimum(pos, len(keys) - 2)], 0.0)
+            systems[pad + ia, pad + ib, r0:r1] = vals
         if pad:
             diag = np.arange(pad)
             systems[diag, diag, r0:r1] = 1.0
@@ -211,13 +288,14 @@ def run_fsai_setup(backend, a, pattern, lengths=None) -> np.ndarray:
         [a.entry_keys(), np.asarray([-1], dtype=np.int64)]
     )
     n_cols = np.int64(a.n_cols)
+    lower = lower_row_spans(keys, n_cols)
     sizes, counts = np.unique(lengths, return_counts=True)
     for group in plan_groups(sizes.tolist(), counts.tolist()):
         K = group[-1]
         rows_parts = [np.flatnonzero(lengths == k) for k in group]
         systems = backend._fsai_setup_build(
             keys, a.data, n_cols, indptr, pattern.indices,
-            rows_parts, group, K,
+            rows_parts, group, K, lower=lower,
         )
         sol = backend._fsai_setup_solve(systems)  # (K, m)
         piv = sol[-1]

@@ -53,6 +53,7 @@ from repro.solvers.cg import (
     DEFAULT_RTOL,
     pcg,
     pcg_multi,
+    require_finite,
 )
 from repro.solvers.convergence import SolveResult
 from repro.sparse.csr import CSRMatrix
@@ -240,7 +241,9 @@ class SolverService:
         :class:`CSRMatrix` that is registered on the fly (first request
         pays the fingerprint hash; later ones should send the key).
         Raises the typed :class:`~repro.errors.ServeError` family:
-        overload, unknown operator, timeout, closed service.
+        overload, unknown operator, timeout, closed service; a malformed
+        ``rhs`` raises :class:`~repro.errors.ShapeError` or
+        :class:`~repro.errors.NonFiniteError` before admission.
         """
         if self._closing or self._queue is None:
             raise ServiceClosedError("service is not accepting requests")
@@ -254,6 +257,9 @@ class SolverService:
             raise ShapeError(
                 f"rhs has shape {rhs_arr.shape}, operator expects ({entry.n},)"
             )
+        # Rejected here, not in the blocked solve, where it would fail
+        # every request batched with it.
+        require_finite(rhs_arr, "rhs")
         loop = asyncio.get_running_loop()
         request = PendingRequest(
             operator=fingerprint,

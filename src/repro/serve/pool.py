@@ -61,7 +61,7 @@ from repro.serve.shm import (
     SharedOperatorSpec,
     SharedOperatorStore,
 )
-from repro.solvers.cg import DEFAULT_MAX_ITERATIONS, DEFAULT_RTOL
+from repro.solvers.cg import DEFAULT_MAX_ITERATIONS, DEFAULT_RTOL, require_finite
 from repro.sparse.csr import CSRMatrix
 
 __all__ = ["MultiProcessClient", "shard_for"]
@@ -575,6 +575,7 @@ class MultiProcessClient:
                 f"rhs has shape {rhs_arr.shape}, operator expects "
                 f"({spec.n_rows},)"
             )
+        require_finite(rhs_arr, "rhs")
         shard = shard_for(fingerprint, self.n_workers)
         worker = self._workers[shard]
         future: "Future[ServeResult]" = Future()

@@ -29,7 +29,7 @@ import numpy as np
 from repro import trace
 from repro._einsum import _einsum
 from repro._typing import FloatArray
-from repro.errors import ShapeError
+from repro.errors import NonFiniteError, ShapeError
 from repro.kernels import get_backend
 from repro.solvers.convergence import (
     ConvergenceHistory,
@@ -39,7 +39,7 @@ from repro.solvers.convergence import (
 from repro.solvers.preconditioners import IdentityPreconditioner, Preconditioner
 from repro.sparse.csr import CSRMatrix
 
-__all__ = ["cg", "pcg", "pcg_multi"]
+__all__ = ["cg", "pcg", "pcg_multi", "require_finite"]
 
 #: Paper §7.1: experiments "do not converge after 10000 iterations" are
 #: excluded — we use the same default budget.
@@ -47,6 +47,16 @@ DEFAULT_MAX_ITERATIONS = 10_000
 
 #: Paper §7.1: initial residual reduced by eight orders of magnitude.
 DEFAULT_RTOL = 1e-8
+
+
+def require_finite(v: np.ndarray, name: str) -> None:
+    """Raise :class:`NonFiniteError` naming the first non-finite entry of ``v``."""
+    bad = ~np.isfinite(v)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise NonFiniteError(
+            f"{name} has a non-finite entry at flat index {i}: {float(v.flat[i])}"
+        )
 
 
 def pcg(
@@ -67,7 +77,8 @@ def pcg(
     a:
         SPD system matrix in CSR form.
     b:
-        Right-hand side.
+        Right-hand side.  A NaN or infinity in ``b`` or ``x0`` raises
+        :class:`~repro.errors.NonFiniteError` before any iteration.
     preconditioner:
         Object with ``apply``/``flops_per_application``; ``None`` runs plain
         CG (identity preconditioner, zero cost).
@@ -131,6 +142,8 @@ def _pcg(
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     if x.shape != (n,):
         raise ShapeError(f"x0 has shape {x.shape}, expected ({n},)")
+    require_finite(b, "b")
+    require_finite(x, "x0")
 
     spmv_flops = 2 * a.nnz
     precond_flops = M.flops_per_application()
@@ -253,7 +266,8 @@ def pcg_multi(
     finished columns' bandwidth along.
 
     Parameters match :func:`pcg` with ``b`` (and optional ``x0``) shaped
-    ``(n, k)``; a 1-D ``b`` raises — use :func:`pcg` for a single vector.
+    ``(n, k)``; a 1-D ``b`` raises — use :func:`pcg` for a single vector —
+    and so does a non-finite entry in ``b`` or ``x0``.
     Returns a :class:`~repro.solvers.convergence.MultiSolveResult` whose
     ``columns`` are per-column :class:`SolveResult` objects matching the
     single-RHS path (iterate, iteration count, residuals, optional
@@ -317,6 +331,8 @@ def _pcg_multi(
         raise ShapeError(f"x0 has shape {x_full.shape}, expected ({n}, {k})")
     if not x_full.flags.c_contiguous:
         x_full = np.ascontiguousarray(x_full)
+    require_finite(b, "B")
+    require_finite(x_full, "x0")
 
     spmv_flops = 2 * a.nnz
     precond_flops = M.flops_per_application()

@@ -32,7 +32,6 @@ from repro.kernels import ENV_VAR, available_backends, get_backend, use_backend
 from repro.kernels.setup import (
     MIN_GROUP_ROWS,
     PAD_CAP,
-    gather_group_stack,
     plan_groups,
     solve_group_stack,
 )
@@ -216,24 +215,6 @@ class TestPlanGroups:
         embedded = solve_group_stack(padded)
         assert embedded[pad:].tobytes() == alone.tobytes()
         np.testing.assert_array_equal(embedded[:pad], 0.0)
-
-
-def test_gather_matches_dense_restriction():
-    a = poisson2d(6)
-    pattern = _tril_pattern_of(a)
-    lengths = np.diff(pattern.indptr)
-    keys = np.concatenate([a.entry_keys(), np.asarray([-1], dtype=np.int64)])
-    k = int(lengths.max())
-    rows = np.flatnonzero(lengths == k)
-    systems = gather_group_stack(
-        keys, a.data, np.int64(a.n_cols), pattern.indptr, pattern.indices,
-        [rows], [k], k,
-    )
-    dense = a.to_dense()
-    for s, i in enumerate(rows):
-        cols = pattern.row(int(i))
-        local = np.tril(dense[np.ix_(cols, cols)])
-        np.testing.assert_array_equal(systems[:, :, s], local)
 
 
 # ----------------------------------------------------------------------

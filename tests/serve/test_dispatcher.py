@@ -14,6 +14,7 @@ import pytest
 from repro import trace
 from repro.collection.generators.fd import poisson2d
 from repro.errors import (
+    NonFiniteError,
     OverloadRejectedError,
     RequestTimeoutError,
     ServiceClosedError,
@@ -167,6 +168,22 @@ class TestAdmission:
                 fp = service.register_operator(a)
                 with pytest.raises(ShapeError):
                     await service.solve(fp, np.ones(a.n_rows + 1))
+
+        asyncio.run(run())
+
+    def test_non_finite_rhs_rejected_before_batching(self):
+        a = poisson2d(6)
+
+        async def run():
+            async with SolverService(window_seconds=0.02) as service:
+                fp = service.register_operator(a)
+                bad = np.ones(a.n_rows)
+                bad[2] = np.inf
+                good = asyncio.ensure_future(service.solve(fp, _rhs(a, 1)))
+                await asyncio.sleep(0)  # admitted, waiting in the window
+                with pytest.raises(NonFiniteError):
+                    await service.solve(fp, bad)
+                assert (await good).result.converged
 
         asyncio.run(run())
 

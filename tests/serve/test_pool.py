@@ -16,6 +16,7 @@ import pytest
 
 from repro.collection.generators.fd import poisson2d
 from repro.errors import (
+    NonFiniteError,
     ShapeError,
     UnknownOperatorError,
     WorkerCrashedError,
@@ -110,6 +111,8 @@ class TestPoolServing:
             fp = client.register(a)
             with pytest.raises(ShapeError):
                 client.solve(fp, np.ones(3))
+            with pytest.raises(NonFiniteError):
+                client.solve(fp, np.full(a.n_rows, np.nan))
 
     def test_merged_metrics_picklable_snapshot(self):
         a = poisson2d(8)
