@@ -255,11 +255,13 @@ synthetic suite and the modelled-time substitution (DESIGN.md §2):
    (`python3 perfbench/run.py --workload poisson3d-91k --seed <n>
    --seconds 3 --trace 1`, 2-core x86_64, NumPy, one BLAS thread, median
    of 6 seeds), the two precalc passes take 2.3 s; a group-by-group
-   replay splits them into 1.5 s gathering local systems and 1.2 s
-   solving them.  The exact setup on the filtered pattern takes 0.46 s,
-   so `measured.precalc_to_exact` is 5.4.  The model prices the same
-   passes at 84x the exact setup (`model.precalc_to_direct`): it charges
-   every row min(20, k) CG steps of 2k^2 flops and has no gather term.
+   replay splits them into 1.6 s gathering local systems and 0.86 s
+   solving them.  The exact setup on the filtered pattern takes 0.48 s,
+   so `measured.precalc_to_exact` is 5.0; the whole traced setup takes
+   3.4 s, with extension and filtering at 0.27 s each.  The model prices
+   the same passes at 84x the exact setup (`model.precalc_to_direct`): it
+   charges every row min(20, k) CG steps of 2k^2 flops and has no gather
+   term.
    Before the gather expanded tril(A)'s rows instead of probing every
    pair, the passes took 6.3 s (gather 4.9 s, solve 1.1 s) and the
    measured ratio was 12.8.  So the gap comes from the model's precalc

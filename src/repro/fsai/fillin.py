@@ -8,8 +8,10 @@ lines** as the original row — the central invariant of the paper, asserted
 by the property-based tests via :class:`repro.cachesim.InfiniteCache`.
 
 The implementation is fully vectorised: one pass builds all (row, line)
-pairs, a second expands each pair into its clipped column block, and the
-union with the original pattern happens in a single COO round-trip.
+pairs, a second expands each pair into its clipped column block.  Both
+passes keep the row-major order of the input, so the blocks come out as
+sorted keys and no re-sort is needed; only original entries the
+triangular clip removed (a non-triangular input) are merged back in.
 Triangular restriction ("except if they correspond to entries above the
 diagonal", §4.4) is a clip against the row index.
 """
@@ -74,28 +76,34 @@ def extend_pattern_cache_friendly(
         rows, cols = pattern.coo()
         lines = (cols + offset) // epl
         # Unique (row, line) pairs == the "already considered column block"
-        # skip of Algorithm 3 lines 6-8, applied globally.
-        pair_keys = rows * ((n_cols + offset) // epl + 1) + lines
-        _, first_idx = np.unique(pair_keys, return_index=True)
-        pair_rows = rows[first_idx]
-        pair_lines = lines[first_idx]
+        # skip of Algorithm 3 lines 6-8, applied globally.  Entries are
+        # row-major sorted, so the pairs are too: keep first occurrences.
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (lines[1:] != lines[:-1])
+        pair_rows = rows[first]
 
         # Expand pairs into column blocks [line*epl - offset, ... + epl-1].
-        starts = pair_lines * epl - offset
-        block = starts[:, None] + np.arange(epl, dtype=np.int64)[None, :]
-        block_rows = np.broadcast_to(pair_rows[:, None], block.shape)
-
-        flat_cols = block.ravel()
-        flat_rows = block_rows.ravel()
-        valid = (flat_cols >= 0) & (flat_cols < n_cols)
+        # Blocks ascend within a row and never overlap, so the clipped
+        # block keys come out sorted and unique.
+        block = (lines[first] * epl - offset)[:, None] + np.arange(epl, dtype=np.int64)
+        valid = (block >= 0) & (block < n_cols)
+        # Every original entry lies in its own line's block; only those
+        # on the wrong side of the diagonal get clipped, and the union
+        # puts them back.
         if triangular == "lower":
-            valid &= flat_cols <= flat_rows
+            valid &= block <= pair_rows[:, None]
+            clipped = cols > rows
         elif triangular == "upper":
-            valid &= flat_cols >= flat_rows
-
-        all_rows = np.concatenate([rows, flat_rows[valid]])
-        all_cols = np.concatenate([cols, flat_cols[valid]])
-        extended = Pattern.from_coo(pattern.n_rows, n_cols, all_rows, all_cols)
+            valid &= block >= pair_rows[:, None]
+            clipped = cols < rows
+        else:
+            clipped = np.zeros(len(rows), dtype=bool)
+        keys = (pair_rows[:, None] * n_cols + block)[valid]
+        if clipped.any():
+            keys = np.sort(np.concatenate(
+                [keys, rows[clipped] * n_cols + cols[clipped]]
+            ))
+        extended = Pattern._from_sorted_keys(pattern.n_rows, n_cols, keys)
         if trace.enabled():
             trace.add_counter(
                 "pattern.entries_added", int(extended.nnz - pattern.nnz)

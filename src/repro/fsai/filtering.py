@@ -106,20 +106,19 @@ def filter_extension_by_precalc(
     ):
         weak = weak_entry_mask(g_approx, filter_value)
 
-        # Immunise base entries.
-        rows = g_approx.row_ids()
-        cols = g_approx.indices
-        keys = rows * ext_pattern.n_cols + cols
-        base_keys = base._keys()
-        in_base = np.isin(keys, base_keys, assume_unique=True)
-        keep = in_base | ~weak
+        # Immunise base entries: base ⊆ ext was checked above, so each base
+        # key has an exact position among ext's sorted keys.
+        keys = g_approx.entry_keys()
+        keep = ~weak
+        keep[np.searchsorted(keys, base._keys())] = True
         if trace.enabled():
             trace.add_counter("pattern.entries_examined", ext_pattern.nnz)
             trace.add_counter(
                 "pattern.entries_filtered", int(ext_pattern.nnz - keep.sum())
             )
-        return Pattern.from_coo(
-            ext_pattern.n_rows, ext_pattern.n_cols, rows[keep], cols[keep]
+        # A mask over ext's row-major entries stays sorted and unique.
+        return Pattern._from_sorted_keys(
+            ext_pattern.n_rows, ext_pattern.n_cols, keys[keep]
         )
 
 
@@ -154,10 +153,7 @@ def standard_post_filter(
         raise ShapeError("G and A shapes disagree")
     weak = weak_entry_mask(g, filter_value)
     if base is not None:
-        rows = g.row_ids()
-        keys = rows * g.n_cols + g.indices
-        in_base = np.isin(keys, base._keys(), assume_unique=True)
-        weak &= ~in_base
+        weak &= ~base.contains_keys(g.entry_keys())
     filtered = g._masked(~weak)
 
     # Rescale rows: (G A G^T)_ii = g_i^T A[S_i,S_i] g_i on the new support.

@@ -30,9 +30,10 @@ scalar-for-scalar by the reference and numba backends:
   scatter) and the convergence compaction below never shrinks under two
   columns.
 * **Symmetrisation** — the gather stores lower triangles; the batched
-  solver forms ``full = systems + systemsᵀ`` (diagonal overwritten with
-  the exact stored value), which turns a stored off-diagonal ``-0.0``
-  into ``+0.0``.  Scalar replays must read off-diagonals as
+  solver mirrors each stored off-diagonal into the upper triangle *in
+  place* after adding ``+0.0`` to it (the diagonal is left exact), which
+  turns a stored off-diagonal ``-0.0`` into ``+0.0``.  No second stack
+  is allocated.  Scalar replays must read off-diagonals as
   ``systems[max(i,j), min(i,j), s] + 0.0`` and the diagonal exactly.
 * **Per-system masking** — a system leaves the active set when its
   curvature check fails (``dᵀq ≤ 0``: truncated-CG breakdown, frozen at
@@ -86,18 +87,22 @@ __all__ = [
 
 
 def symmetrize(systems: np.ndarray) -> np.ndarray:
-    """Full symmetric stack from a packed lower-triangle ``(K, K, m)`` stack.
+    """Mirror a packed lower-triangle ``(K, K, m)`` stack in place; return it.
 
-    ``full = systems + systemsᵀ`` with the diagonal overwritten by the
-    exact stored values.  The transpose add turns a stored ``-0.0``
-    off-diagonal into ``+0.0`` — scalar replays reproduce this by
-    reading off-diagonals as ``systems[max, min, s] + 0.0``.
+    Each stored off-diagonal column gets ``+= 0.0`` and is copied into
+    the matching upper row; the diagonal keeps its exact bits and the
+    stored upper triangle (zeros from the gather) is overwritten.  The
+    ``+0.0`` turns a stored ``-0.0`` off-diagonal into ``+0.0`` in both
+    triangles, the same bits as the transpose add ``systems +
+    systemsᵀ`` over a zero upper triangle — scalar replays reproduce it
+    by reading off-diagonals as ``systems[max, min, s] + 0.0``.
     """
     K = systems.shape[0]
-    full = systems + systems.transpose(1, 0, 2)
-    idx = np.arange(K)
-    full[idx, idx, :] = systems[idx, idx, :]
-    return full
+    for j in range(K - 1):
+        low = systems[j + 1:, j]          # (K - j - 1, m), contiguous rows
+        low += 0.0
+        systems[j, j + 1:] = low
+    return systems
 
 
 def solve_precalc_stack(
@@ -106,10 +111,12 @@ def solve_precalc_stack(
     """Truncated CG on every system of a ``(K, K, m)`` lower stack.
 
     The canonical batched schedule every backend replays (see the module
-    docstring for the determinism contract).  Returns the ``(K, m)``
-    iterates; systems that broke down (``dᵀq ≤ 0``) stay frozen at their
-    last iterate and ``max_iterations <= 0`` returns exact zeros — the
-    driver's fallback classification owns both cases.
+    docstring for the determinism contract).  The stack is symmetrised
+    in place (see :func:`symmetrize`), overwriting its upper triangle.
+    Returns the ``(K, m)`` iterates; systems that broke down
+    (``dᵀq ≤ 0``) stay frozen at their last iterate and
+    ``max_iterations <= 0`` returns exact zeros — the fallback
+    classification in :func:`run_fsai_precalc` owns both cases.
     """
     K, _, m = systems.shape
     x = np.zeros((K, m))

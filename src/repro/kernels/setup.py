@@ -236,22 +236,25 @@ def solve_group_stack(systems: np.ndarray) -> np.ndarray:
     reproduces exactly; reordering any of it would break cross-backend
     bit-identity.
 
+    The factor ``L`` overwrites the stack's lower triangle column by
+    column: column ``j`` is updated only from finished columns ``t < j``,
+    so no second stack is allocated.  The upper triangle is never read.
+
     Runs under IEEE semantics: a non-SPD pivot turns into NaN/inf and
     propagates into ``x[-1]`` instead of raising here, so one batched
     pivot check after the solve replaces per-system screening.
     """
     k, _, m = systems.shape
     x = np.zeros((k, m))
-    L = np.zeros_like(systems)
+    L = systems
     with np.errstate(invalid="ignore", divide="ignore"):
         for j in range(k):
-            col = systems[j:, j].copy()  # (k - j, m), contiguous over m
+            col = L[j:, j]  # (k - j, m), contiguous over m
             for t in range(j):
                 col -= L[j:, t] * L[j, t]
             piv = np.sqrt(col[0])
-            L[j, j] = piv
-            if j + 1 < k:
-                L[j + 1:, j] = col[1:] / piv
+            col[0] = piv
+            col[1:] /= piv
         # L^T x = y with y = (0, …, 0, 1/L_kk): column-oriented back sweep.
         x[-1] = 1.0 / L[-1, -1]
         for i in range(k - 1, 0, -1):

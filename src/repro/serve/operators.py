@@ -22,9 +22,24 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import UnknownOperatorError
+from repro.solvers.cg import require_finite
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.validate import require_symmetric
 
-__all__ = ["OperatorEntry", "OperatorRegistry"]
+__all__ = ["OperatorEntry", "OperatorRegistry", "require_servable"]
+
+
+def require_servable(matrix: CSRMatrix) -> None:
+    """Reject an operator PCG cannot serve, before anything stores it.
+
+    Raises :class:`~repro.errors.NonFiniteError` for a NaN or infinite
+    value (a NaN would otherwise run every solve to its iteration cap)
+    and :class:`~repro.errors.NotSymmetricError` (or
+    :class:`~repro.errors.ShapeError` if not square) for a matrix FSAI
+    setup would silently read only the lower triangle of.
+    """
+    require_finite(matrix.data, "operator data")
+    require_symmetric(matrix)
 
 
 @dataclass(frozen=True)
@@ -60,8 +75,12 @@ class OperatorRegistry:
         fingerprint; re-registering with a *different* recipe replaces
         the recipe (the preconditioner cache keys on method/config too,
         so previously built setups stay valid for their own keys).
+
+        A new fingerprint is checked once with :func:`require_servable`.
         """
         fingerprint = matrix.fingerprint()
+        if fingerprint not in self:
+            require_servable(matrix)
         entry = OperatorEntry(matrix=matrix, method=method, config=dict(config))
         with self._lock:
             self._entries[fingerprint] = entry

@@ -53,6 +53,7 @@ from repro.errors import (
 )
 from repro.parallel.threadbudget import apply_thread_budget, thread_budget_env
 from repro.serve.metrics import ServiceMetrics
+from repro.serve.operators import require_servable
 from repro.serve.request import ServeResult
 from repro.serve.shm import (
     AttachedFactor,
@@ -514,9 +515,15 @@ class MultiProcessClient:
     def register(
         self, matrix: CSRMatrix, *, method: str = "fsai", **config: Any
     ) -> str:
-        """Publish into the shared store and attach on the owning shard."""
+        """Publish into the shared store and attach on the owning shard.
+
+        A new fingerprint is checked once with
+        :func:`~repro.serve.operators.require_servable` before publishing.
+        """
         if self._closing:
             raise ServiceClosedError("pool is not accepting requests")
+        if matrix.fingerprint() not in self.store:
+            require_servable(matrix)
         spec = self.store.publish(matrix, method=method, config=config)
         shard = shard_for(spec.fingerprint, self.n_workers)
         with self._lock:

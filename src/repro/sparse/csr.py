@@ -635,7 +635,8 @@ class CSRMatrix:
     # ------------------------------------------------------------------
     def transpose(self) -> "CSRMatrix":
         """CSR matrix of ``A.T`` (explicit structure transpose)."""
-        order = np.lexsort((self.row_ids(), self.indices))
+        # Column-major keys are unique, so any sort gives the one order.
+        order = np.argsort(self.indices * np.int64(self.n_rows) + self.row_ids())
         new_rows = self.indices[order]
         new_cols = self.row_ids()[order]
         new_data = self.data[order]

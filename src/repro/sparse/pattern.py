@@ -139,16 +139,31 @@ class Pattern:
                 raise PatternError("row index out of range")
             if col.min() < 0 or col.max() >= n_cols:
                 raise PatternError("col index out of range")
-        # Sort lexicographically by (row, col) then drop duplicates.
-        order = np.lexsort((col, row))
-        row, col = row[order], col[order]
-        if len(row):
-            keep = np.ones(len(row), dtype=bool)
-            keep[1:] = (np.diff(row) != 0) | (np.diff(col) != 0)
-            row, col = row[keep], col[keep]
+        # One sort of the row-major keys orders by (row, col); equal
+        # neighbours are duplicates.
+        keys = np.sort(row * n_cols + col)
+        if len(keys):
+            keep = np.ones(len(keys), dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+            keys = keys[keep]
+        return cls._from_sorted_keys(n_rows, n_cols, keys)
+
+    @classmethod
+    def _from_sorted_keys(
+        cls, n_rows: int, n_cols: int, keys: IndexArray
+    ) -> "Pattern":
+        """Pattern from sorted, unique row-major ``row * n_cols + col`` keys.
+
+        Unchecked: for callers whose entries are sorted and unique by
+        construction (masks over another pattern's entries, merges of
+        sorted keys), which skips :meth:`from_coo`'s sort.
+        """
+        if not len(keys):
+            return cls.empty(n_rows, n_cols)
+        row = keys // n_cols
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(row, minlength=n_rows), out=indptr[1:])
-        return cls(n_rows, n_cols, indptr, col, _validated=True)
+        return cls(n_rows, n_cols, indptr, keys - row * n_cols, _validated=True)
 
     @classmethod
     def from_dense_mask(cls, mask) -> "Pattern":
@@ -226,7 +241,9 @@ class Pattern:
     def transpose(self) -> "Pattern":
         """Pattern of the transposed matrix (CSR of the transpose)."""
         rows, cols = self.coo()
-        return Pattern.from_coo(self.n_cols, self.n_rows, cols, rows)
+        return Pattern._from_sorted_keys(
+            self.n_cols, self.n_rows, np.sort(cols * self.n_rows + rows)
+        )
 
     @property
     def T(self) -> "Pattern":
@@ -238,7 +255,9 @@ class Pattern:
             keep = cols <= rows if keep_diagonal else cols < rows
         else:
             keep = cols >= rows if keep_diagonal else cols > rows
-        return Pattern.from_coo(self.n_rows, self.n_cols, rows[keep], cols[keep])
+        return Pattern._from_sorted_keys(
+            self.n_rows, self.n_cols, (rows * self.n_cols + cols)[keep]
+        )
 
     def tril(self, *, keep_diagonal: bool = True) -> "Pattern":
         """Lower-triangular restriction of the pattern."""
@@ -280,32 +299,41 @@ class Pattern:
         """Set intersection of two patterns with identical shapes."""
         if self.shape != other.shape:
             raise ShapeError(f"shape mismatch {self.shape} vs {other.shape}")
-        key_self = self._keys()
-        key_other = other._keys()
-        common = np.intersect1d(key_self, key_other, assume_unique=True)
-        rows = (common // self.n_cols).astype(np.int64)
-        cols = (common % self.n_cols).astype(np.int64)
-        return Pattern.from_coo(self.n_rows, self.n_cols, rows, cols)
+        keys = self._keys()
+        return Pattern._from_sorted_keys(
+            self.n_rows, self.n_cols, keys[other.contains_keys(keys)]
+        )
 
     def difference(self, other: "Pattern") -> "Pattern":
         """Entries of ``self`` not present in ``other``."""
         if self.shape != other.shape:
             raise ShapeError(f"shape mismatch {self.shape} vs {other.shape}")
-        keys = np.setdiff1d(self._keys(), other._keys(), assume_unique=True)
-        rows = (keys // self.n_cols).astype(np.int64)
-        cols = (keys % self.n_cols).astype(np.int64)
-        return Pattern.from_coo(self.n_rows, self.n_cols, rows, cols)
+        keys = self._keys()
+        return Pattern._from_sorted_keys(
+            self.n_rows, self.n_cols, keys[~other.contains_keys(keys)]
+        )
 
     def is_subset_of(self, other: "Pattern") -> bool:
         """True iff every entry of ``self`` appears in ``other``."""
         if self.shape != other.shape:
             return False
-        return bool(np.isin(self._keys(), other._keys(), assume_unique=True).all())
+        return bool(other.contains_keys(self._keys()).all())
 
     def _keys(self) -> IndexArray:
         """Linearised (row-major) position keys — sorted, unique."""
         rows, cols = self.coo()
         return rows * self.n_cols + cols
+
+    def contains_keys(self, keys: IndexArray) -> np.ndarray:
+        """Boolean mask: which row-major ``row * n_cols + col`` keys are entries.
+
+        One binary search per key into the pattern's own sorted keys.
+        """
+        own = self._keys()
+        if not len(own):
+            return np.zeros(len(keys), dtype=bool)
+        pos = np.searchsorted(own, keys)
+        return own[np.minimum(pos, len(own) - 1)] == keys
 
     # ------------------------------------------------------------------
     # Structural predicates
@@ -321,10 +349,9 @@ class Pattern:
     def has_full_diagonal(self) -> bool:
         """True iff every row ``i < min(shape)`` contains column ``i``."""
         n = min(self.n_rows, self.n_cols)
-        for i in range(n):
-            if (i, i) not in self:
-                return False
-        return True
+        return bool(
+            self.contains_keys(np.arange(n, dtype=np.int64) * (self.n_cols + 1)).all()
+        )
 
     def is_structurally_symmetric(self) -> bool:
         """True iff the pattern equals its transpose (requires square)."""

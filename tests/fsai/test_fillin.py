@@ -162,3 +162,45 @@ class TestSameLinesInvariant:
             assert np.array_equal(
                 lines_touched(pt.row(i), pl), lines_touched(ext.row(i), pl)
             )
+
+
+@st.composite
+def any_patterns(draw):
+    """Square or not, triangular or not: extension must keep every entry."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 40))
+    density = draw(st.floats(0.02, 0.4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    return rng.uniform(size=(n, m)) < density
+
+
+class TestDenseMaskOracle:
+    """Algorithm 3 against a per-row dense oracle, in every clip mode."""
+
+    @given(
+        any_patterns(),
+        st.sampled_from([64, 256]),
+        st.integers(0, 31),
+        st.sampled_from(["lower", "upper", "none"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle(self, mask, line, offset, triangular):
+        pl = ArrayPlacement.with_element_offset(line, offset)
+        n, m = mask.shape
+        cols = np.arange(m)
+        line_of = (cols + pl.element_offset) // pl.elements_per_line
+        want = mask.copy()
+        for i in range(n):
+            same_line = np.isin(line_of, line_of[mask[i]])
+            if triangular == "lower":
+                same_line &= cols <= i
+            elif triangular == "upper":
+                same_line &= cols >= i
+            want[i] |= same_line
+        ext = extend_pattern_cache_friendly(
+            Pattern.from_dense_mask(mask), pl, triangular=triangular
+        )
+        assert np.array_equal(ext.to_dense_mask(), want)
+        canonical = Pattern.from_dense_mask(want)
+        assert ext.indptr.tobytes() == canonical.indptr.tobytes()
+        assert ext.indices.tobytes() == canonical.indices.tobytes()

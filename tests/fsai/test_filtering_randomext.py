@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PatternError, ShapeError
 from repro.fsai.fillin import extend_pattern_cache_friendly
@@ -14,6 +16,7 @@ from repro.fsai.frobenius import compute_g, precalculate_g
 from repro.fsai.patterns import fsai_initial_pattern
 from repro.fsai.random_ext import extend_pattern_random
 from repro.sparse.construct import csr_from_dense
+from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import Pattern
 from tests.conftest import random_spd_dense
 
@@ -188,3 +191,42 @@ class TestRandomExtension:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             extend_pattern_random(Pattern.identity(3), np.array([-1, 0, 0]))
+
+
+@st.composite
+def filter_inputs(draw):
+    """A square approximate G on an extended pattern, and a base inside it."""
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    ext = np.tril(rng.uniform(size=(n, n)) < draw(st.floats(0.1, 0.8)))
+    ext |= np.eye(n, dtype=bool) & (rng.uniform(size=(n, n)) < 0.9)
+    base = ext & (rng.uniform(size=(n, n)) < 0.4)
+    # Ties, exact zeros and signed zeros sit on the filter boundaries.
+    values = rng.choice([0.0, -0.0, 1e-3, -1e-2, 0.05, -0.1, 1.0, 2.0],
+                        size=(n, n))
+    return np.where(ext, values, 0.0), ext, base
+
+
+class TestPrecalcFilterOracle:
+    @given(filter_inputs(), st.sampled_from([0.0, 0.001, 0.01, 0.1]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_mask_oracle(self, inputs, filter_value):
+        values, ext, base = inputs
+        n = len(ext)
+        ext_p = Pattern.from_dense_mask(ext)
+        rows, cols = ext_p.coo()
+        g = CSRMatrix(n, n, ext_p.indptr, ext_p.indices, values[rows, cols])
+        d = np.abs(np.diag(values))
+        floor = d[d > 0].min() if (d > 0).any() else 1.0
+        d = np.where(d > 0, d, floor)
+        off = ~np.eye(n, dtype=bool)
+        if filter_value == 0:
+            weak = ext & off & (values == 0.0)
+        else:
+            weak = ext & off & (np.abs(values) <= filter_value * d[None, :])
+        want = Pattern.from_dense_mask(base | (ext & ~weak))
+        got = filter_extension_by_precalc(
+            g, Pattern.from_dense_mask(base), filter_value
+        )
+        assert got == want
+        assert got.indices.tobytes() == want.indices.tobytes()

@@ -187,6 +187,13 @@ class TestAdmission:
 
         asyncio.run(run())
 
+    def test_unservable_operator_rejected_at_registration(self, unservable):
+        matrix, error = unservable
+        service = SolverService()
+        with pytest.raises(error):
+            service.register_operator(matrix)
+        assert len(service.registry) == 0
+
     def test_solve_after_stop_raises_closed(self):
         a = poisson2d(6)
 

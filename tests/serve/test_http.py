@@ -124,6 +124,24 @@ class TestRoutes:
         body = _error_body(info.value)
         assert body["type"] == "UnknownOperatorError"
 
+    def test_unservable_operator_maps_to_400(self, served, unservable):
+        client, base = served
+        matrix, error = unservable
+        payload = {
+            "n_rows": matrix.n_rows,
+            "n_cols": matrix.n_cols,
+            "indptr": [int(v) for v in matrix.indptr],
+            "indices": [int(v) for v in matrix.indices],
+            "data": [float(v) for v in matrix.data],
+        }
+        # json writes (and the server's json reads) NaN / Infinity literals.
+        before = client.operator_count()
+        with pytest.raises(urllib.error.HTTPError) as info:
+            _post(base, "/operators", payload)
+        assert info.value.code == 400
+        assert _error_body(info.value)["type"] == error.__name__
+        assert client.operator_count() == before
+
     def test_bad_json_body_maps_to_400(self, served):
         _, base = served
         request = urllib.request.Request(

@@ -114,6 +114,15 @@ class TestPoolServing:
             with pytest.raises(NonFiniteError):
                 client.solve(fp, np.full(a.n_rows, np.nan))
 
+    def test_unservable_operator_rejected_before_publish(self, unservable):
+        matrix, error = unservable
+        with MultiProcessClient(1, window_seconds=0.005) as client:
+            with pytest.raises(error):
+                client.register(matrix)
+            with pytest.raises(error):
+                client.solve(matrix, np.ones(matrix.n_rows))
+            assert len(client.store) == 0
+
     def test_merged_metrics_picklable_snapshot(self):
         a = poisson2d(8)
         with MultiProcessClient(1, window_seconds=0.005) as client:
