@@ -83,13 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--machine", default="skylake", choices=sorted(MACHINES),
                 help="target machine model (default skylake)",
             )
-            sp.add_argument(
-                "--setup-backend", default=None, metavar="NAME",
-                help="FSAI setup backend: a kernel-registry name "
-                     "(auto/numpy/numba) or a legacy LAPACK path "
-                     "(bucketed/reference); default resolves "
-                     "$REPRO_KERNEL_BACKEND, then auto",
-            )
         if quick:
             sp.add_argument(
                 "--quick", action="store_true",
@@ -172,10 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument(
         "--machine", default="skylake", choices=sorted(MACHINES),
         help="target machine model (default skylake)",
-    )
-    tr.add_argument(
-        "--setup-backend", default=None, metavar="NAME",
-        help="FSAI setup backend (see the table/figure commands)",
     )
     tr.add_argument(
         "--json", default=None, metavar="PATH",
@@ -291,9 +280,7 @@ def _trace_case(args) -> str:
     from repro.experiments.runner import run_case
 
     case = get_case(args.case)
-    cfg = ExperimentConfig(
-        machine=args.machine, setup_backend=args.setup_backend
-    )
+    cfg = ExperimentConfig(machine=args.machine)
     t0 = time.perf_counter()
     with trace.collecting() as collector:
         result = run_case(case, cfg)
@@ -325,7 +312,6 @@ def _campaign(args, *, random_baseline: bool = False):
     cfg = ExperimentConfig(
         machine=getattr(args, "machine", "skylake"),
         include_random_baseline=random_baseline,
-        setup_backend=getattr(args, "setup_backend", None),
     )
     return run_campaign(
         cfg, case_ids=_case_ids(args),
@@ -532,11 +518,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             cfg_kwargs["methods"] = tuple(args.methods)
         if args.global_sweeps is not None:
             cfg_kwargs["global_sweeps"] = args.global_sweeps
-        cfg = ExperimentConfig(
-            machine=args.machine,
-            setup_backend=getattr(args, "setup_backend", None),
-            **cfg_kwargs,
-        )
+        cfg = ExperimentConfig(machine=args.machine, **cfg_kwargs)
         outcome = run_campaign_parallel(
             cfg,
             case_ids=_case_ids(args),

@@ -58,10 +58,6 @@ class ExperimentConfig:
     #: executed count per case lands in :attr:`MethodRun.sweeps`.
     global_sweeps: int = 30
     include_random_baseline: bool = False
-    #: FSAI setup backend (``None`` = resolve via ``$REPRO_KERNEL_BACKEND``,
-    #: then ``"auto"``); legacy names ``bucketed``/``reference`` select the
-    #: LAPACK paths, anything else routes through the ``fsai_setup`` op.
-    setup_backend: Optional[str] = None
 
     def machine_model(self) -> MachineModel:
         return get_machine(self.machine)
@@ -80,7 +76,6 @@ class ExperimentConfig:
             "precalc_iterations": self.precalc_iterations,
             "global_sweeps": self.global_sweeps,
             "include_random_baseline": self.include_random_baseline,
-            "setup_backend": self.setup_backend,
         }
 
     @classmethod
@@ -346,13 +341,13 @@ def _run_case(
         )
         spmv_a_cost = model.spmv_cost(a.pattern)
 
-    baseline_setup = setup_fsai(a, setup_backend=config.setup_backend)
+    baseline_setup = setup_fsai(a)
     baseline = _evaluate(a, b, baseline_setup, model, spmv_a_cost, config)
 
     result = CaseResult(
         case=case, n=a.n_rows, nnz=a.nnz, machine=machine.name,
         baseline=baseline, kernel_backend=get_backend().name,
-        setup_backend=resolve_setup_backend(config.setup_backend),
+        setup_backend=resolve_setup_backend(),
     )
     reference_full: Optional[FSAISetup] = None
     for method in config.methods:
@@ -369,7 +364,6 @@ def _run_case(
                     filter_value=filter_value,
                     precalc_rtol=config.precalc_rtol,
                     precalc_iterations=config.precalc_iterations,
-                    setup_backend=config.setup_backend,
                 )
                 if method == "fsaie_full" and filter_value == 0.01:
                     reference_full = setup
@@ -379,7 +373,7 @@ def _run_case(
         else:
             # Filter-free methods (baseline re-runs, global iterations)
             # execute once per case under the key ``(method, None)``.
-            kwargs: Dict[str, object] = {"setup_backend": config.setup_backend}
+            kwargs: Dict[str, object] = {}
             if spec.uses_sweeps:
                 kwargs["sweeps"] = config.global_sweeps
             setup = spec.builder(a, **kwargs)
@@ -393,12 +387,8 @@ def _run_case(
                 a, placement, filter_value=0.01,
                 precalc_rtol=config.precalc_rtol,
                 precalc_iterations=config.precalc_iterations,
-                setup_backend=config.setup_backend,
             )
-        random_setup = setup_fsaie_random(
-            a, reference_full, seed=case.case_id,
-            setup_backend=config.setup_backend,
-        )
+        random_setup = setup_fsaie_random(a, reference_full, seed=case.case_id)
         result.runs[("fsaie_random", 0.01)] = _evaluate(
             a, b, random_setup, model, spmv_a_cost, config
         )

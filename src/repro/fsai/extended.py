@@ -133,17 +133,16 @@ def setup_fsai(
     *,
     level: int = 1,
     threshold: float = 0.0,
-    setup_backend: Optional[str] = None,
 ) -> FSAISetup:
     """Baseline FSAI (paper Alg. 1 in the §7.1 configuration).
 
-    ``setup_backend`` selects the local-solve implementation exactly as
-    :func:`repro.fsai.frobenius.compute_g`'s ``backend`` does (``None``
-    resolves via ``$REPRO_KERNEL_BACKEND``, then ``"auto"``).
+    Every ``setup_*`` function resolves its kernel backend as
+    :func:`repro.fsai.frobenius.compute_g` does by default:
+    ``$REPRO_KERNEL_BACKEND``, then ``"auto"``.
     """
     with trace.span("fsai.setup", method="fsai", n=a.n_rows):
         base = _base(a, level, threshold)
-        g = compute_g(a, base, backend=setup_backend).prune_zeros()
+        g = compute_g(a, base).prune_zeros()
         final = g.pattern
         return FSAISetup(
             method="fsai",
@@ -164,7 +163,6 @@ def setup_fsaie_sp(
     threshold: float = 0.0,
     precalc_rtol: float = 1e-2,
     precalc_iterations: int = 20,
-    setup_backend: Optional[str] = None,
 ) -> FSAISetup:
     """FSAIE(sp): one cache-friendly extension + precalc filtering.
 
@@ -181,10 +179,9 @@ def setup_fsaie_sp(
         )
         g_approx = precalculate_g(
             a, extended, rtol=precalc_rtol, max_iterations=precalc_iterations,
-            backend=setup_backend,
         )
         s_ext = filter_extension_by_precalc(g_approx, base, filter_value)
-        g = compute_g(a, s_ext, backend=setup_backend)
+        g = compute_g(a, s_ext)
         return FSAISetup(
             method="fsaie_sp",
             application=FSAIApplication(g),
@@ -207,7 +204,6 @@ def setup_fsaie_full(
     threshold: float = 0.0,
     precalc_rtol: float = 1e-2,
     precalc_iterations: int = 20,
-    setup_backend: Optional[str] = None,
 ) -> FSAISetup:
     """FSAIE(full): Algorithm 4 — two-step extension of ``G`` then ``G^T``.
 
@@ -223,7 +219,6 @@ def setup_fsaie_full(
         ext1 = extend_pattern_cache_friendly(base, placement, triangular="lower")
         g_approx1 = precalculate_g(
             a, ext1, rtol=precalc_rtol, max_iterations=precalc_iterations,
-            backend=setup_backend,
         )
         s_ext = filter_extension_by_precalc(g_approx1, base, filter_value)
         # Steps 5-6: extend (S_ext)^T, precalculate, filter.
@@ -233,11 +228,10 @@ def setup_fsaie_full(
         ext2 = ext2_t.transpose()  # back to the lower-triangular world of G
         g_approx2 = precalculate_g(
             a, ext2, rtol=precalc_rtol, max_iterations=precalc_iterations,
-            backend=setup_backend,
         )
         final = filter_extension_by_precalc(g_approx2, s_ext, filter_value)
         # Step 7: exact G on the final pattern.
-        g = compute_g(a, final, backend=setup_backend)
+        g = compute_g(a, final)
         return FSAISetup(
             method="fsaie_full",
             application=FSAIApplication(g),
@@ -261,7 +255,6 @@ def setup_fsaie_joint(
     threshold: float = 0.0,
     precalc_rtol: float = 1e-2,
     precalc_iterations: int = 20,
-    setup_backend: Optional[str] = None,
 ) -> FSAISetup:
     """§6 ablation: simultaneous extension of ``G`` and ``G^T`` patterns.
 
@@ -283,10 +276,9 @@ def setup_fsaie_joint(
         joint = ext_g.union(ext_gt)
         g_approx = precalculate_g(
             a, joint, rtol=precalc_rtol, max_iterations=precalc_iterations,
-            backend=setup_backend,
         )
         final = filter_extension_by_precalc(g_approx, base, filter_value)
-        g = compute_g(a, final, backend=setup_backend)
+        g = compute_g(a, final)
         return FSAISetup(
             method="fsaie_joint",
             application=FSAIApplication(g),
@@ -305,7 +297,6 @@ def setup_fsaie_random(
     reference: FSAISetup,
     *,
     seed: int = 0,
-    setup_backend: Optional[str] = None,
 ) -> FSAISetup:
     """§7.3 baseline: random extension with ``reference``'s per-row counts.
 
@@ -319,7 +310,7 @@ def setup_fsaie_random(
         random_pattern = extend_pattern_random(
             base, reference.added_per_row(), triangular="lower", seed=seed
         )
-        g = compute_g(a, random_pattern, backend=setup_backend)
+        g = compute_g(a, random_pattern)
         return FSAISetup(
             method="fsaie_random",
             application=FSAIApplication(g),

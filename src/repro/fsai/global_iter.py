@@ -59,21 +59,16 @@ route under the paper's cache model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro import trace
-from repro.fsai.frobenius import (
-    FSAI_BACKENDS,
-    _check_diagonals,
-    _check_pattern,
-)
+from repro.fsai.frobenius import _check_diagonals, _check_pattern
 from repro.fsai.patterns import fsai_initial_pattern
 from repro.fsai.precond import FSAIApplication
 from repro.fsai.extended import FSAISetup
 from repro.kernels import get_backend
-from repro.kernels.base import KernelBackend
 from repro.kernels.spgemm import plan_spgemm
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.pattern import Pattern
@@ -113,19 +108,6 @@ class GlobalIterInfo:
     converged: bool
     #: Flop estimate across all sweeps (SpGEMM products + vector work).
     flops: int
-
-
-def _kernel_backend(name: Optional[str]) -> KernelBackend:
-    """Resolve ``setup_backend`` for the global route.
-
-    The legacy LAPACK names (``bucketed``/``reference`` in the
-    :func:`~repro.fsai.frobenius.compute_g` sense) have no SpGEMM — the
-    global methods run entirely on kernel ops — so they fall through to
-    the default registry resolution instead of erroring.
-    """
-    if name in FSAI_BACKENDS:
-        name = None
-    return get_backend(name)
 
 
 def _diag_slots(pattern: Pattern) -> np.ndarray:
@@ -195,7 +177,7 @@ def global_g_minres(
     iterate over ``pattern`` — the setup wrappers normalise it.
     """
     _validate(a, pattern, sweeps, rtol)
-    kb = _kernel_backend(backend)
+    kb = get_backend(backend)
     plan = plan_spgemm(pattern, a.pattern, cap=pattern)
     rhs = _identity_rhs(pattern)
     rhs_norm = float(np.sqrt(rhs @ rhs))
@@ -256,7 +238,7 @@ def global_g_chebyshev(
     polynomial stays below 1 on ``(0, λ_lo)``); it cannot diverge.
     """
     _validate(a, pattern, sweeps, rtol)
-    kb = _kernel_backend(backend)
+    kb = get_backend(backend)
     hi = float(lambda_hi) if lambda_hi is not None else _gershgorin_upper(a)
     lo = float(lambda_lo) if lambda_lo is not None else hi / 25.0
     if not 0.0 < lo < hi:
@@ -325,7 +307,7 @@ def global_g_newton_schulz(
     the residual stops improving.
     """
     _validate(a, pattern, sweeps, rtol)
-    kb = _kernel_backend(backend)
+    kb = get_backend(backend)
     plan_xa = plan_spgemm(pattern, a.pattern, cap=pattern)
     plan_zx = plan_spgemm(pattern, pattern, cap=pattern)
     rhs = _identity_rhs(pattern)
@@ -432,14 +414,13 @@ def _setup_global(
     threshold: float,
     sweeps: int,
     rtol: float,
-    setup_backend: Optional[str],
     flop_key: str = "global",
     **iter_kwargs,
 ) -> FSAISetup:
     with trace.span("fsai.setup", method=method, n=a.n_rows):
         base = fsai_initial_pattern(a, level=level, threshold=threshold)
         data, info = _ITERATIONS[method](
-            a, base, sweeps=sweeps, rtol=rtol, backend=setup_backend,
+            a, base, sweeps=sweeps, rtol=rtol,
             **iter_kwargs,
         )
         g_data, fallback_rows = normalize_factor(a, base, data)
@@ -466,20 +447,16 @@ def setup_gsai_st(
     threshold: float = 0.0,
     sweeps: int = DEFAULT_SWEEPS,
     rtol: float = DEFAULT_GLOBAL_RTOL,
-    setup_backend: Optional[str] = None,
 ) -> FSAISetup:
     """End-to-end setup via the Salkuyeh–Toutounian global iteration.
 
     Same pattern pipeline as :func:`repro.fsai.extended.setup_fsai`
     (threshold → pattern power → lower triangle), but ``G`` comes from
     global minimal-residual sweeps instead of per-row direct solves.
-    ``setup_backend`` resolves through the kernel registry; the legacy
-    LAPACK names fall back to the default backend (global methods run
-    entirely on kernel ops).
     """
     return _setup_global(
         "gsai_st", a, level=level, threshold=threshold,
-        sweeps=sweeps, rtol=rtol, setup_backend=setup_backend,
+        sweeps=sweeps, rtol=rtol,
     )
 
 
@@ -492,12 +469,11 @@ def setup_gsai_cheb(
     rtol: float = DEFAULT_GLOBAL_RTOL,
     lambda_lo: Optional[float] = None,
     lambda_hi: Optional[float] = None,
-    setup_backend: Optional[str] = None,
 ) -> FSAISetup:
     """End-to-end setup via the Chebyshev global semi-iteration."""
     return _setup_global(
         "gsai_cheb", a, level=level, threshold=threshold,
-        sweeps=sweeps, rtol=rtol, setup_backend=setup_backend,
+        sweeps=sweeps, rtol=rtol,
         lambda_lo=lambda_lo, lambda_hi=lambda_hi,
     )
 
@@ -509,10 +485,9 @@ def setup_gsai_ns(
     threshold: float = 0.0,
     sweeps: int = DEFAULT_SWEEPS,
     rtol: float = DEFAULT_GLOBAL_RTOL,
-    setup_backend: Optional[str] = None,
 ) -> FSAISetup:
     """End-to-end setup via pattern-capped Newton–Schulz sweeps."""
     return _setup_global(
         "gsai_ns", a, level=level, threshold=threshold,
-        sweeps=sweeps, rtol=rtol, setup_backend=setup_backend,
+        sweeps=sweeps, rtol=rtol,
     )

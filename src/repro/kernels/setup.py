@@ -43,7 +43,8 @@ semantics (``sqrt`` of a negative pivot yields NaN, division by a zero
 pivot yields inf), any non-SPD pivot propagates a non-finite value into
 the solution's diagonal entry, and the driver raises
 :class:`~repro.errors.NotSPDError` naming the first offending row after
-all groups are solved — the same diagnostic the LAPACK path produces.
+all groups are solved — the row a per-row dense LAPACK solve flags
+(the test oracle in ``tests/conftest.py``).
 """
 
 from __future__ import annotations

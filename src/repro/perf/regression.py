@@ -1,7 +1,7 @@
 """Performance-regression records for the implementation's own hot paths.
 
-The vectorized simulation engine and the bucketed FSAI setup replace exact
-reference implementations; the speedup is an implementation claim that must
+The vectorized simulation engine and the kernel-backend hot paths replace
+exact reference implementations; the speedup is an implementation claim that must
 stay true as the code evolves.  A :class:`RegressionRecord` captures one
 reference-vs-optimized timing comparison — per-component and composite — in
 a stable JSON shape (``BENCH_engine.json`` at the repository root) that CI

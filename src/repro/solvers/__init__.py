@@ -5,9 +5,9 @@
   flop counts.
 * :mod:`~repro.solvers.direct` — dense Cholesky factorisation and SPD solves
   for the FSAI local systems (the role MKL / LAPACK / OpenBLAS play in the
-  paper's §7.1); includes batched solves grouping equal-size systems.
-* :mod:`~repro.solvers.local_cg` — small-system CG used by the §5
-  precalculation (approximate ``G`` at loose tolerance).
+  paper's §7.1), kept as oracles for the batched ``fsai_setup`` op.
+* :mod:`~repro.solvers.local_cg` — small-system truncated CG, the oracle
+  for the §5 precalculation op (approximate ``G`` at loose tolerance).
 * :mod:`~repro.solvers.preconditioners` — trivial baselines (identity,
   Jacobi) against which FSAI is sanity-checked.
 """
@@ -23,13 +23,8 @@ from repro.solvers.direct import (
     solve_lower_triangular,
     solve_upper_triangular,
     solve_spd,
-    solve_spd_stacked,
-    solve_spd_batched,
 )
-from repro.solvers.local_cg import (
-    solve_spd_approximate,
-    solve_spd_approximate_stacked,
-)
+from repro.solvers.local_cg import solve_spd_approximate
 from repro.solvers.sptrsv import (
     level_schedule_stats,
     level_sets,
@@ -54,10 +49,7 @@ __all__ = [
     "solve_lower_triangular",
     "solve_upper_triangular",
     "solve_spd",
-    "solve_spd_stacked",
-    "solve_spd_batched",
     "solve_spd_approximate",
-    "solve_spd_approximate_stacked",
     "sparse_forward_substitution",
     "sparse_backward_substitution",
     "level_sets",

@@ -1,36 +1,27 @@
-"""Approximate dense SPD solves for the §5 precalculation.
+"""Approximate dense SPD solve for the §5 precalculation.
 
 The paper's robust filtering strategy needs only the *order of magnitude* of
 each prospective ``G`` entry, so it solves the local Frobenius systems "via
-several iterations of the CG method with a relatively high tolerance".  This
-module provides exactly that: a dense CG that stops early, plus a batched
-variant that advances many equally-sized systems in lockstep with stacked
-matrix-vector products (one kernel-backend ``stacked_matvec`` per
-iteration for a whole bucket, into a reused output buffer).
+several iterations of the CG method with a relatively high tolerance".
+:func:`solve_spd_approximate` is that truncated CG for one dense system.
 
-These are the *legacy* precalculation bodies, kept bit-for-bit for the
-``backend="reference"``/``"bucketed"`` paths of
-:func:`repro.fsai.frobenius.precalculate_g`; the default kernel path
-runs the ``fsai_precalc`` op instead (:mod:`repro.kernels.precalc` —
-the same truncated CG batched over the setup op's identity-padded
-row-length groups, byte-identical across kernel backends).
+Production set-up runs the same iteration batched in the ``fsai_precalc``
+kernel op (:mod:`repro.kernels.precalc`); this per-system solve is its
+independent test oracle.  With the op's Jacobi fallback applied to rows
+whose estimate has a non-positive or non-finite diagonal, it reproduces
+:func:`repro.fsai.frobenius.precalculate_g` to roundoff.  This module also
+owns the precalculation defaults.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
 import numpy as np
 
-from repro import trace
 from repro._typing import FloatArray
 from repro.errors import ShapeError
-from repro.kernels import get_backend
 
 __all__ = [
     "solve_spd_approximate",
-    "solve_spd_approximate_stacked",
-    "solve_spd_approximate_batched",
 ]
 
 #: Loose defaults matching the paper's intent: a handful of iterations at a
@@ -80,101 +71,3 @@ def solve_spd_approximate(
         d += r
         rho = rho_new
     return x
-
-
-def solve_spd_approximate_stacked(
-    stacked_a: np.ndarray,
-    stacked_b: np.ndarray,
-    *,
-    rtol: float = DEFAULT_PRECALC_RTOL,
-    max_iterations: int = DEFAULT_PRECALC_ITERATIONS,
-) -> np.ndarray:
-    """Truncated CG over a ``(m, k, k)`` stack of equal-size systems.
-
-    All systems advance in lockstep: the per-iteration matvec is a single
-    stacked ``einsum`` over the whole stack, and systems that have
-    individually converged are masked out of further updates.  This is the
-    per-bucket kernel of :func:`solve_spd_approximate_batched` and of the
-    bucketed FSAI precalculation.
-    """
-    A = np.asarray(stacked_a, dtype=np.float64)
-    B = np.asarray(stacked_b, dtype=np.float64)
-    if A.ndim != 3 or A.shape[1] != A.shape[2]:
-        raise ShapeError(f"expected (m, k, k) stack, got {A.shape}")
-    m, k = A.shape[:2]
-    if B.shape != (m, k):
-        raise ShapeError(f"rhs stack {B.shape} does not match systems {A.shape}")
-    X = np.zeros((m, k))
-    if m == 0 or k == 0:
-        return X
-    backend = get_backend()
-    with trace.span("solvers.local_cg", systems=m, size=k,
-                    backend=backend.name):
-        R = B.copy()
-        norm0 = np.linalg.norm(R, axis=1)
-        active = norm0 > 0
-        D = R.copy()
-        rho = np.einsum("ij,ij->i", R, R)
-        Q = np.empty((m, k))  # stacked-matvec output, reused every iteration
-        for _ in range(max_iterations):
-            if not active.any():
-                break
-            if trace.enabled():
-                trace.add_counter("local_cg.iterations")
-                trace.add_counter("local_cg.active_systems", int(active.sum()))
-            backend.stacked_matvec(A, D, out=Q)
-            dq = np.einsum("ij,ij->i", D, Q)
-            ok = active & (dq > 0)
-            if not ok.any():
-                break
-            alpha = np.zeros(m)
-            alpha[ok] = rho[ok] / dq[ok]
-            X += alpha[:, None] * D
-            R -= alpha[:, None] * Q
-            res = np.linalg.norm(R, axis=1)
-            active = ok & (res > rtol * norm0)
-            rho_new = np.einsum("ij,ij->i", R, R)
-            beta = np.zeros(m)
-            nz = rho > 0
-            beta[nz] = rho_new[nz] / rho[nz]
-            D = R + beta[:, None] * D
-            rho = rho_new
-    return X
-
-
-def solve_spd_approximate_batched(
-    systems: Sequence[np.ndarray],
-    rhs: Sequence[FloatArray],
-    *,
-    rtol: float = DEFAULT_PRECALC_RTOL,
-    max_iterations: int = DEFAULT_PRECALC_ITERATIONS,
-) -> List[FloatArray]:
-    """Truncated CG over many small systems, batched by size.
-
-    Each equal-dimension bucket is stacked and advanced in lockstep by
-    :func:`solve_spd_approximate_stacked`.  Result order matches input
-    order.
-    """
-    if len(systems) != len(rhs):
-        raise ShapeError("systems/rhs length mismatch")
-    buckets: dict = {}
-    for idx, a in enumerate(systems):
-        k = a.shape[0]
-        if a.shape != (k, k) or rhs[idx].shape != (k,):
-            raise ShapeError(f"system {idx}: bad shapes {a.shape} / {rhs[idx].shape}")
-        buckets.setdefault(k, []).append(idx)
-
-    out: List[FloatArray] = [None] * len(systems)  # type: ignore[list-item]
-    for k, idxs in buckets.items():
-        if k == 0:
-            for i in idxs:
-                out[i] = np.empty(0)
-            continue
-        A = np.stack([systems[i] for i in idxs])          # (m, k, k)
-        B = np.stack([rhs[i] for i in idxs])              # (m, k)
-        X = solve_spd_approximate_stacked(
-            A, B, rtol=rtol, max_iterations=max_iterations
-        )
-        for slot, i in enumerate(idxs):
-            out[i] = X[slot]
-    return out

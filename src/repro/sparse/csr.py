@@ -603,12 +603,12 @@ class CSRMatrix:
     def gather_entries(self, rows: IndexArray, cols: IndexArray) -> np.ndarray:
         """Values at positions ``(rows[j], cols[j])``; absent entries read 0.
 
-        ``rows`` and ``cols`` may have any (matching) shape — the bucketed
-        FSAI gather passes whole ``(batch, k, k)`` index blocks — and the
+        ``rows`` and ``cols`` may have any (matching) shape — the post-filter
+        rescale passes whole ``(batch, k, k)`` index blocks — and the
         values come back in that shape.  One binary search over the cached
         row-major :meth:`entry_keys` replaces the per-row searches of
-        :meth:`submatrix`, so extracting every local system of a pattern
-        bucket is a single vectorised lookup.
+        :meth:`submatrix`, so extracting a whole batch of dense blocks is a
+        single vectorised lookup.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)

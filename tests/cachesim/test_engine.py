@@ -5,7 +5,8 @@ reproduce the per-access ``OrderedDict`` oracle *exactly* — same hit mask,
 same counters, same final cache state including per-set LRU order — over
 randomized traces spanning set counts, associativities and line ranges, and
 over the repeat-heavy traces the collapse fast-path targets.  The bucketed
-FSAI gather is held to the same standard against the per-row reference.
+FSAI gather is held to the same standard against the dense per-row
+restriction.
 """
 
 import numpy as np
@@ -23,13 +24,14 @@ from repro.cachesim.engine import (
 from repro.cachesim.stackdist import stack_distances
 from repro.collection.suite import get_case
 from repro.errors import ConfigurationError
-from repro.fsai.frobenius import (
-    compute_g,
-    gather_local_systems,
-    gather_local_systems_bucketed,
-    precalculate_g,
-)
+from repro.fsai.frobenius import compute_g, precalculate_g
 from repro.fsai.patterns import fsai_initial_pattern
+from repro.kernels import get_backend
+from repro.solvers.local_cg import (
+    DEFAULT_PRECALC_ITERATIONS,
+    DEFAULT_PRECALC_RTOL,
+)
+from tests.kernels.test_gather_oracle import _groups, _oracle
 
 # Traces long enough to cross the vector-dispatch threshold and short enough
 # for hypothesis throughput; line ids deliberately collide across sets.
@@ -149,38 +151,49 @@ class TestEngineVsReference:
 
 
 class TestBucketedGather:
-    """Bucketed FSAI local-system assembly vs the per-row reference."""
+    """The set-up ops' row-length-bucketed local-system gather and solves.
+
+    Each bucket's stack is held to the dense per-row restriction, and
+    the default backend's ``G`` to the kernel reference backend's bytes.
+    """
 
     @pytest.mark.parametrize("case_id", [5, 9, 24, 46])
     def test_gather_identical(self, case_id):
         a = get_case(case_id).build()
         pattern = fsai_initial_pattern(a)
-        ref_systems, ref_rhs = gather_local_systems(a, pattern)
-        covered = np.zeros(pattern.n_rows, dtype=bool)
-        for bucket in gather_local_systems_bucketed(a, pattern):
-            for slot, i in enumerate(bucket.rows.tolist()):
-                assert np.array_equal(bucket.systems[slot], ref_systems[i])
-                assert np.array_equal(bucket.rhs[slot], ref_rhs[i])
-                covered[i] = True
-        assert covered.all()
+        dense = a.to_dense()
+        keys, lower, plan = _groups(a, pattern)
+        covered = 0
+        for group, K, rows_parts in plan:
+            got = get_backend()._fsai_setup_build(
+                keys, a.data, np.int64(a.n_cols), pattern.indptr,
+                pattern.indices, rows_parts, group, K, lower=lower,
+            )
+            want = _oracle(dense, pattern, rows_parts, K)
+            assert got.tobytes() == want.tobytes()
+            covered += got.shape[2]
+        assert covered == pattern.n_rows
 
     @pytest.mark.parametrize("case_id", [5, 9, 24, 46])
     def test_compute_g_bit_identical(self, case_id):
         a = get_case(case_id).build()
         pattern = fsai_initial_pattern(a)
-        g_ref = compute_g(a, pattern, backend="reference")
-        g_vec = compute_g(a, pattern, backend="bucketed")
-        assert np.array_equal(g_ref.indptr, g_vec.indptr)
-        assert np.array_equal(g_ref.indices, g_vec.indices)
-        assert np.array_equal(g_ref.data, g_vec.data)
+        g = compute_g(a, pattern)
+        ref = get_backend("reference").fsai_setup(a, pattern)
+        assert np.array_equal(g.indptr, pattern.indptr)
+        assert np.array_equal(g.indices, pattern.indices)
+        assert g.data.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("case_id", [5, 24])
     def test_precalculate_g_bit_identical(self, case_id):
         a = get_case(case_id).build()
         pattern = fsai_initial_pattern(a)
-        g_ref = precalculate_g(a, pattern, backend="reference")
-        g_vec = precalculate_g(a, pattern, backend="bucketed")
-        assert np.array_equal(g_ref.data, g_vec.data)
+        g = precalculate_g(a, pattern)
+        ref = get_backend("reference").fsai_precalc(
+            a, pattern, rtol=DEFAULT_PRECALC_RTOL,
+            max_iterations=DEFAULT_PRECALC_ITERATIONS,
+        )
+        assert g.data.tobytes() == ref.tobytes()
 
     def test_unknown_backend_rejected(self):
         a = get_case(5).build()

@@ -7,6 +7,7 @@ import pytest
 
 from repro.arch.address import ArrayPlacement
 from repro.collection.generators.fd import poisson2d
+from repro.solvers.local_cg import solve_spd_approximate
 from repro.sparse.construct import csr_from_dense
 
 
@@ -60,3 +61,59 @@ def random_spd_dense(n: int, seed: int = 0, *, density: float = 1.0) -> np.ndarr
         a = a * keep
         a += np.diag(np.abs(removed).sum(axis=1) + 1e-6)
     return a
+
+
+def _lower_symmetric_dense(a) -> np.ndarray:
+    """``tril(A) + tril(A, -1)ᵀ``: the matrix FSAI set-up sees (it reads
+    only the lower triangle)."""
+    low = np.tril(a.to_dense())
+    return low + np.tril(low, -1).T
+
+
+def exact_g_oracle(a, pattern) -> np.ndarray:
+    """Exact FSAI data on ``pattern``, one dense solve per row.
+
+    Row ``i`` solves ``A_dense[S_i, S_i] ĝ = e_i`` (``A_dense`` mirrored
+    from ``tril(A)``) with ``np.linalg.solve`` and normalises
+    ``ĝ / sqrt(ĝ_i)`` — the set-up ops' independent oracle.
+    Returns the ``pattern.nnz`` data array (NaN where ``ĝ_i <= 0``).
+    """
+    dense = _lower_symmetric_dense(a)
+    data = np.empty(pattern.nnz)
+    for i in range(pattern.n_rows):
+        cols = pattern.row(i)
+        e = np.zeros(len(cols))
+        e[-1] = 1.0
+        sol = np.linalg.solve(dense[np.ix_(cols, cols)], e)
+        lo = pattern.indptr[i]
+        with np.errstate(invalid="ignore"):
+            data[lo:lo + len(cols)] = sol / np.sqrt(sol[-1])
+    return data
+
+
+def precalc_g_oracle(a, pattern, *, rtol: float, max_iterations: int) -> np.ndarray:
+    """§5 precalculation data on ``pattern``, one truncated CG per row.
+
+    Each row runs :func:`repro.solvers.local_cg.solve_spd_approximate` on
+    ``A_dense[S_i, S_i]`` (mirrored from ``tril(A)``) and takes the op's
+    Jacobi fallback (zeros, and
+    ``1/sqrt(a_ii)`` — ``1.0`` when ``a_ii <= 0`` — in the diagonal slot)
+    when the estimate's diagonal is non-positive or non-finite.
+    """
+    dense = _lower_symmetric_dense(a)
+    data = np.empty(pattern.nnz)
+    for i in range(pattern.n_rows):
+        cols = pattern.row(i)
+        e = np.zeros(len(cols))
+        e[-1] = 1.0
+        sol = solve_spd_approximate(
+            dense[np.ix_(cols, cols)], e, rtol=rtol, max_iterations=max_iterations
+        )
+        pivot = sol[-1]
+        if pivot > 0 and np.isfinite(pivot):
+            row = sol / np.sqrt(pivot)
+        else:
+            row = np.zeros(len(cols))
+            row[-1] = 1.0 / np.sqrt(dense[i, i]) if dense[i, i] > 0 else 1.0
+        data[pattern.indptr[i]:pattern.indptr[i] + len(cols)] = row
+    return data

@@ -438,13 +438,3 @@ class TestThreadBudget:
             json.loads(json.dumps(result.to_dict()))
         )
         assert rebuilt.setup_backend == result.setup_backend
-
-    def test_explicit_setup_backend_recorded(self):
-        cfg = ExperimentConfig(
-            filters=(0.0,), methods=("fsaie_sp",), setup_backend="bucketed"
-        )
-        from repro.collection.suite import get_case
-
-        result = run_case(get_case(52), cfg)
-        assert result.setup_backend == "bucketed"
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg

@@ -152,15 +152,6 @@ def test_invalid_arguments():
         global_g_chebyshev(a, pattern, lambda_lo=2.0, lambda_hi=1.0)
 
 
-def test_legacy_setup_backend_names_accepted():
-    # The LAPACK paths have no SpGEMM; legacy names fall back to the
-    # kernel registry default instead of erroring.
-    a = poisson2d(8)
-    ref = setup_gsai_st(a).g.data
-    for name in ("bucketed", "reference", None, "numpy"):
-        assert setup_gsai_st(a, setup_backend=name).g.data == pytest.approx(ref)
-
-
 def test_trace_records_global_iteration():
     a = poisson2d(8)
     with trace.collecting() as collector:

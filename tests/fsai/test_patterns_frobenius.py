@@ -3,18 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.errors import NotSPDError, PatternError, ShapeError
+from repro.collection.generators.fd import poisson2d
+from repro.errors import NonFiniteError, NotSPDError, PatternError, ShapeError
 from repro.fsai.frobenius import (
     compute_g,
-    gather_local_systems,
     precalculate_g,
     setup_flops_direct,
     setup_flops_precalc,
 )
 from repro.fsai.patterns import fsai_initial_pattern
+from repro.kernels import get_backend
 from repro.sparse.construct import csr_from_dense
 from repro.sparse.pattern import Pattern
 from tests.conftest import random_spd_dense
+from tests.kernels.test_gather_oracle import _groups, _oracle
 
 
 @pytest.fixture
@@ -53,28 +55,40 @@ class TestInitialPattern:
 
 
 class TestGatherLocalSystems:
+    """The set-up ops' local-system gather on a small random SPD matrix."""
+
+    def _stacks(self, a, p):
+        keys, lower, plan = _groups(a, p)
+        for group, K, rows_parts in plan:
+            yield K, rows_parts, get_backend()._fsai_setup_build(
+                keys, a.data, np.int64(a.n_cols), p.indptr, p.indices,
+                rows_parts, group, K, lower=lower,
+            )
+
     def test_shapes_and_rhs(self, spd8):
         p = fsai_initial_pattern(spd8)
-        systems, rhs = gather_local_systems(spd8, p)
-        assert len(systems) == 8
-        for i in range(8):
-            k = len(p.row(i))
-            assert systems[i].shape == (k, k)
-            assert rhs[i][-1] == 1.0 and rhs[i][:-1].sum() == 0.0
+        rows = []
+        for K, rows_parts, stack in self._stacks(spd8, p):
+            group_rows = np.concatenate(rows_parts)
+            assert stack.shape == (K, K, len(group_rows))
+            # The unit rhs sits in the last slot: a_ii is bottom-right.
+            assert np.array_equal(stack[-1, -1], spd8.diagonal()[group_rows])
+            rows.extend(group_rows.tolist())
+        assert sorted(rows) == list(range(8))
 
     def test_submatrix_content(self, spd8):
         p = fsai_initial_pattern(spd8)
-        systems, _ = gather_local_systems(spd8, p)
         dense = spd8.to_dense()
-        for i in range(8):
-            cols = p.row(i)
-            assert np.allclose(systems[i], dense[np.ix_(cols, cols)])
+        for K, rows_parts, stack in self._stacks(spd8, p):
+            assert np.array_equal(stack, _oracle(dense, p, rows_parts, K))
 
     def test_missing_diagonal_rejected(self, spd8):
         bad = Pattern.from_coo(8, 8, np.array([1]), np.array([0]))
         # pad to full rows minus diagonals
-        with pytest.raises(PatternError):
-            gather_local_systems(spd8, bad)
+        with pytest.raises(PatternError, match="diagonal"):
+            compute_g(spd8, bad)
+        with pytest.raises(PatternError, match="diagonal"):
+            precalculate_g(spd8, bad)
 
     def test_upper_pattern_rejected(self, spd8):
         with pytest.raises(PatternError):
@@ -167,6 +181,20 @@ class TestPrecalculateG:
         a = csr_from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
         g = precalculate_g(a, a.pattern.tril(), max_iterations=1)
         assert np.all(g.diagonal() > 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "setup", [compute_g, precalculate_g], ids=["exact", "precalc"]
+)
+def test_non_finite_operator_rejected(setup, bad):
+    """A NaN/inf operator value fails fast with a typed error instead of a
+    misleading ``NotSPDError`` (exact) or a silent Jacobi row (precalc)."""
+    a = poisson2d(6)
+    data = a.data.copy()
+    data[np.flatnonzero(a.row_ids() > a.indices)[3]] = bad
+    with pytest.raises(NonFiniteError):
+        setup(a.with_data(data), fsai_initial_pattern(a))
 
 
 class TestFlopEstimates:

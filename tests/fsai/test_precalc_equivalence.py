@@ -1,8 +1,11 @@
-"""Filtered-pattern equivalence: kernel precalc vs legacy bucketed CG.
+"""Filtered-pattern equivalence: kernel precalc vs per-row truncated CG.
 
+The oracle is the original per-row formulation of §5: one dense
+:func:`~repro.solvers.local_cg.solve_spd_approximate` per local system,
+with the op's Jacobi fallback (``tests.conftest.precalc_g_oracle``).
 The ``fsai_precalc`` kernel op does **not** promise bitwise agreement
-with the legacy bucketed lockstep CG (the two reduce in different
-summation orders, so truncated estimates differ in final ulps).  What §5
+with it (the two reduce in different summation orders, so truncated
+estimates differ in final ulps).  What §5
 actually consumes is the *classification* those estimates feed: which
 extension entries are weak.  This suite pins the real contract — across
 the FD stencil generators and the paper's full filter grid, the filtered
@@ -24,6 +27,13 @@ from repro.fsai.fillin import extend_pattern_cache_friendly
 from repro.fsai.filtering import filter_extension_by_precalc
 from repro.fsai.frobenius import precalculate_g
 from repro.fsai.patterns import fsai_initial_pattern
+from repro.solvers.local_cg import (
+    DEFAULT_PRECALC_ITERATIONS,
+    DEFAULT_PRECALC_RTOL,
+)
+from repro.sparse.csr import CSRMatrix
+
+from tests.conftest import precalc_g_oracle
 
 #: The paper's evaluated filter grid (§5 / Table 3).
 FILTER_VALUES = (0.0, 0.001, 0.01, 0.1)
@@ -38,12 +48,15 @@ STENCILS = [
 
 @pytest.fixture(scope="module", params=STENCILS, ids=[n for n, _ in STENCILS])
 def stencil_case(request):
-    """(matrix, base pattern, extended pattern, legacy G, kernel G)."""
+    """(matrix, base pattern, extended pattern, per-row oracle G, kernel G)."""
     _, build = request.param
     a = build()
     base = fsai_initial_pattern(a)
     ext = extend_pattern_cache_friendly(base, ArrayPlacement.aligned(64))
-    g_legacy = precalculate_g(a, ext, backend="bucketed")
+    g_legacy = CSRMatrix.from_pattern(ext, precalc_g_oracle(
+        a, ext, rtol=DEFAULT_PRECALC_RTOL,
+        max_iterations=DEFAULT_PRECALC_ITERATIONS,
+    ))
     g_kernel = precalculate_g(a, ext, backend="numpy")
     return a, base, ext, g_legacy, g_kernel
 

@@ -7,7 +7,8 @@ cases, cache-friendly *extended* patterns (the workload the op exists
 for) and the degenerate shapes — size-1 rows, a single-system batch
 (exercising the width-2 identity pad), zero iterations, systems that
 converge on the very first step, and curvature breakdowns that must fall
-back to the Jacobi guess bit-for-bit with the legacy bucketed path.
+back to the Jacobi guess bit-for-bit with a per-row truncated CG (and
+count the row in ``fsai.fallback_rows``).
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import trace
 from repro.arch.address import ArrayPlacement
 from repro.collection.generators.fd import poisson2d
 from repro.collection.suite import get_case
@@ -22,7 +24,6 @@ from repro.fsai.fillin import extend_pattern_cache_friendly
 from repro.fsai.frobenius import (
     DEFAULT_PRECALC_ITERATIONS,
     DEFAULT_PRECALC_RTOL,
-    _precalc_bucketed,
     precalculate_g,
 )
 from repro.fsai.patterns import fsai_initial_pattern
@@ -31,7 +32,7 @@ from repro.kernels.precalc import solve_precalc_stack, symmetrize
 from repro.sparse.construct import csr_from_dense
 from repro.sparse.pattern import Pattern
 
-from tests.conftest import random_spd_dense
+from tests.conftest import precalc_g_oracle, random_spd_dense
 
 BACKENDS = available_backends()
 
@@ -79,12 +80,7 @@ def test_backends_byte_identical(case):
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_precalculate_g_routes_through_op(case):
-    """The public §5 entry point returns the op's bytes unchanged.
-
-    ``backend="reference"`` resolves to the *legacy* reference path in
-    ``precalculate_g`` (``FSAI_BACKENDS`` wins over the registry), so
-    the routing claim is made with a registry-only name.
-    """
+    """The public §5 entry point returns the op's bytes unchanged."""
     _, a, pattern = case
     g = precalculate_g(a, pattern, backend="numpy")
     assert g.data.tobytes() == _precalc_bytes("numpy", a, pattern)
@@ -120,28 +116,50 @@ def test_diagonal_matrix_converges_at_first_step():
         )
 
 
-def test_breakdown_falls_back_bitwise_like_legacy():
-    """A curvature breakdown (indefinite restriction) never raises; the
-    offending row takes the same Jacobi-fallback bits as the legacy
-    bucketed path (1.0 for a non-positive diagonal)."""
+def _indefinite():
     d = np.array([
         [4.0, 0.0, 0.0],
         [0.0, -1.0, 0.0],   # dᵀq = -1 on the first step -> frozen at zero
         [1.0, 0.0, 3.0],
     ])
-    a = csr_from_dense(d)
+    return csr_from_dense(d)
+
+
+def test_breakdown_falls_back_bitwise_like_legacy():
+    """A curvature breakdown (indefinite restriction) never raises; the
+    offending row takes the same Jacobi-fallback bits as a per-row
+    truncated CG with that fallback (1.0 for a non-positive diagonal)."""
+    a = _indefinite()
     pattern = fsai_initial_pattern(a)
-    legacy = _precalc_bucketed(
-        a, pattern, DEFAULT_PRECALC_RTOL, DEFAULT_PRECALC_ITERATIONS
-    ).data
+    oracle = precalc_g_oracle(
+        a, pattern, rtol=DEFAULT_PRECALC_RTOL,
+        max_iterations=DEFAULT_PRECALC_ITERATIONS,
+    )
     lo, hi = pattern.indptr[1], pattern.indptr[2]
     for name in BACKENDS:
         data = get_backend(name).fsai_precalc(
             a, pattern, rtol=DEFAULT_PRECALC_RTOL,
             max_iterations=DEFAULT_PRECALC_ITERATIONS,
         )
-        assert data[lo:hi].tobytes() == legacy[lo:hi].tobytes()
+        assert data[lo:hi].tobytes() == oracle[lo:hi].tobytes()
         assert data[lo:hi].tolist() == [1.0]
+        np.testing.assert_allclose(data, oracle, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a,expected", [(_indefinite(), 1), (poisson2d(8), 0)],
+    ids=["indefinite", "poisson2d"],
+)
+def test_fallback_rows_counted(a, expected):
+    """Under tracing the op counts the rows that took the Jacobi fallback."""
+    pattern = fsai_initial_pattern(a)
+    for name in BACKENDS:
+        with trace.collecting() as collector:
+            get_backend(name).fsai_precalc(
+                a, pattern, rtol=DEFAULT_PRECALC_RTOL,
+                max_iterations=DEFAULT_PRECALC_ITERATIONS,
+            )
+        assert collector.total_counters()["fsai.fallback_rows"] == expected
 
 
 def test_width_one_identity_pad_is_bitwise_neutral():

@@ -8,7 +8,7 @@ degenerate bucket shapes (size-1 rows, single-bucket patterns, ``n = 1``,
 empty FSAIE extensions), then check the pieces the guarantee rests on:
 identity padding must be bitwise neutral, the group plan must be a pure
 function of the row-length histogram, and non-SPD failures must surface
-as the same ``NotSPDError`` the LAPACK path raises.
+as a ``NotSPDError`` naming the row that a per-row dense solve flags.
 """
 
 import numpy as np
@@ -22,7 +22,6 @@ from repro.errors import ConfigurationError, NotSPDError
 from repro.fsai.frobenius import (
     DEFAULT_PRECALC_ITERATIONS,
     DEFAULT_PRECALC_RTOL,
-    FSAI_BACKENDS,
     compute_g,
     precalculate_g,
     resolve_setup_backend,
@@ -38,7 +37,7 @@ from repro.kernels.setup import (
 from repro.sparse.construct import csr_from_dense
 from repro.sparse.pattern import Pattern
 
-from tests.conftest import random_spd_dense
+from tests.conftest import exact_g_oracle, precalc_g_oracle, random_spd_dense
 
 BACKENDS = available_backends()
 
@@ -100,14 +99,15 @@ def test_backends_byte_identical(case):
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_op_matches_legacy_lapack(case):
-    """Different factorisation, same minimiser: op vs bucketed LAPACK agree
-    to solver roundoff.  Near-zero entries need the absolute tolerance —
-    the two paths round them differently around exact cancellation."""
+    """Different factorisation, same minimiser: the op and per-row LAPACK
+    solves (``np.linalg.solve`` on ``A_dense[S_i, S_i]``) agree to solver
+    roundoff.  Near-zero entries need the absolute tolerance — the two
+    round them differently around exact cancellation."""
     _, a, pattern = case
-    legacy = compute_g(a, pattern, backend="bucketed").data
+    oracle = exact_g_oracle(a, pattern)
     op = get_backend(BACKENDS[0]).fsai_setup(a, pattern)
-    scale = float(np.max(np.abs(legacy)))
-    np.testing.assert_allclose(op, legacy, rtol=1e-9, atol=1e-9 * scale)
+    scale = float(np.max(np.abs(oracle)))
+    np.testing.assert_allclose(op, oracle, rtol=1e-9, atol=1e-9 * scale)
 
 
 def test_identity_pattern_is_jacobi():
@@ -233,9 +233,9 @@ def test_not_spd_names_first_bad_row(backend_name):
     pattern = _tril_pattern_of(a)
     with pytest.raises(NotSPDError, match="row 1"):
         get_backend(backend_name).fsai_setup(a, pattern)
-    # LAPACK path reports the same offending row (its own wording).
-    with pytest.raises(NotSPDError, match=r"(row|system) 1"):
-        compute_g(a, pattern, backend="bucketed")
+    # Per-row dense solves flag the same row: the first non-positive ĝ_i.
+    pivots = exact_g_oracle(a, pattern)[pattern.indptr[1:] - 1]
+    assert int(np.flatnonzero(~(pivots > 0))[0]) == 1
 
 
 class TestResolution:
@@ -249,11 +249,8 @@ class TestResolution:
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "numpy")
-        assert resolve_setup_backend("bucketed") == "bucketed"
-
-    def test_legacy_names_stay_legacy(self):
-        for name in FSAI_BACKENDS:
-            assert resolve_setup_backend(name) == name
+        assert resolve_setup_backend("reference") == "reference"
+        assert resolve_setup_backend(get_backend("reference")) == "reference"
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -274,10 +271,20 @@ def test_default_compute_g_equals_direct_op():
     assert g.data.tobytes() == _setup_bytes(name, a, pattern)
 
 
+def test_env_reference_runs_the_kernel_reference_op(monkeypatch):
+    """``$REPRO_KERNEL_BACKEND=reference`` selects the kernel reference
+    backend's ``fsai_setup`` for set-up, byte for byte."""
+    a = poisson2d(6)
+    pattern = _tril_pattern_of(a)
+    monkeypatch.setenv(ENV_VAR, "reference")
+    g = compute_g(a, pattern)
+    assert g.data.tobytes() == _setup_bytes("reference", a, pattern)
+
+
 def test_precalc_kernel_path_runs_the_op():
     """Kernel-name precalc routes through ``fsai_precalc`` byte-for-byte
-    and agrees with the legacy bucketed values to truncated-CG roundoff
-    (bitwise agreement is not the contract — the legacy lockstep CG
+    and agrees with per-row truncated CG (``solve_spd_approximate``) to
+    roundoff (bitwise agreement is not the contract — the per-row CG
     reduces in a different summation order; the filtered-pattern-level
     equivalence lives in ``tests/fsai/test_precalc_equivalence.py``)."""
     a = poisson2d(10)
@@ -289,8 +296,9 @@ def test_precalc_kernel_path_runs_the_op():
         max_iterations=DEFAULT_PRECALC_ITERATIONS,
     )
     assert kernel.data.tobytes() == op.tobytes()
-    legacy = precalculate_g(a, pattern, backend="bucketed")
-    scale = float(np.max(np.abs(legacy.data)))
-    np.testing.assert_allclose(
-        kernel.data, legacy.data, rtol=1e-9, atol=1e-9 * scale
+    oracle = precalc_g_oracle(
+        a, pattern, rtol=DEFAULT_PRECALC_RTOL,
+        max_iterations=DEFAULT_PRECALC_ITERATIONS,
     )
+    scale = float(np.max(np.abs(oracle)))
+    np.testing.assert_allclose(kernel.data, oracle, rtol=1e-9, atol=1e-9 * scale)

@@ -8,7 +8,6 @@ from repro.solvers.direct import (
     cholesky_factor,
     solve_lower_triangular,
     solve_spd,
-    solve_spd_batched,
     solve_upper_triangular,
 )
 from tests.conftest import random_spd_dense
@@ -78,34 +77,3 @@ class TestSolveSPD:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             solve_spd(np.eye(3), np.ones(4))
-
-
-class TestBatched:
-    def test_mixed_sizes_order_preserved(self, rng):
-        systems, rhs = [], []
-        for k in (3, 7, 3, 5, 7, 1):
-            systems.append(random_spd_dense(k, seed=k))
-            rhs.append(rng.standard_normal(k))
-        outs = solve_spd_batched(systems, rhs)
-        for a, b, x in zip(systems, rhs, outs):
-            assert np.allclose(a @ x, b, atol=1e-9)
-
-    def test_matches_single(self, rng):
-        a = random_spd_dense(6, seed=9)
-        b = rng.standard_normal(6)
-        batched = solve_spd_batched([a], [b])[0]
-        assert np.allclose(batched, solve_spd(a, b))
-
-    def test_empty_system_in_batch(self):
-        outs = solve_spd_batched([np.zeros((0, 0))], [np.zeros(0)])
-        assert outs[0].shape == (0,)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            solve_spd_batched([np.eye(2)], [])
-
-    def test_names_offending_system(self):
-        good = random_spd_dense(3, seed=1)
-        bad = np.diag([1.0, -1.0, 1.0])
-        with pytest.raises(NotSPDError, match="system 1"):
-            solve_spd_batched([good, bad], [np.ones(3), np.ones(3)])

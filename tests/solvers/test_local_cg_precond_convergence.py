@@ -5,10 +5,10 @@ import pytest
 
 from repro.errors import NotSPDError, ShapeError
 from repro.solvers.convergence import ConvergenceHistory, SolveResult
-from repro.solvers.local_cg import (
-    solve_spd_approximate,
-    solve_spd_approximate_batched,
-)
+from repro.collection.generators.fd import poisson2d
+from repro.fsai.frobenius import precalculate_g
+from repro.fsai.patterns import fsai_initial_pattern
+from repro.solvers.local_cg import solve_spd_approximate
 from repro.solvers.preconditioners import (
     IdentityPreconditioner,
     JacobiPreconditioner,
@@ -51,23 +51,26 @@ class TestLocalCG:
         with pytest.raises(ShapeError):
             solve_spd_approximate(np.eye(3), np.ones(2))
 
-    def test_batched_matches_single(self, rng):
-        systems = [random_spd_dense(k, seed=k) for k in (4, 6, 4)]
-        rhs = [rng.standard_normal(a.shape[0]) for a in systems]
-        batched = solve_spd_approximate_batched(
-            systems, rhs, rtol=1e-10, max_iterations=100
-        )
-        for a, b, x in zip(systems, rhs, batched):
-            single = solve_spd_approximate(a, b, rtol=1e-10, max_iterations=100)
-            assert np.allclose(x, single, atol=1e-6)
-
-    def test_batched_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            solve_spd_approximate_batched([np.eye(2)], [])
+    def test_batched_matches_single(self):
+        """The batched ``fsai_precalc`` op agrees with one truncated CG per
+        local system (this module's solve is its oracle)."""
+        a = poisson2d(8)
+        p = fsai_initial_pattern(a)
+        g = precalculate_g(a, p, rtol=1e-10, max_iterations=100)
+        dense = a.to_dense()
+        for i in range(a.n_rows):
+            cols = p.row(i)
+            e = np.zeros(len(cols))
+            e[-1] = 1.0
+            single = solve_spd_approximate(
+                dense[np.ix_(cols, cols)], e, rtol=1e-10, max_iterations=100
+            )
+            row = g.data[p.indptr[i]:p.indptr[i + 1]]
+            assert np.allclose(row, single / np.sqrt(single[-1]), atol=1e-12)
 
     def test_batched_empty_bucket(self):
-        outs = solve_spd_approximate_batched([np.zeros((0, 0))], [np.zeros(0)])
-        assert outs[0].shape == (0,)
+        a = csr_from_dense(np.zeros((0, 0)))
+        assert precalculate_g(a, a.pattern).data.shape == (0,)
 
 
 class TestPreconditioners:
