@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.fsai.extended import (
     setup_fsai,
     setup_fsaie_full,
     setup_fsaie_random,
+    sweep_fsaie,
 )
 from repro.fsai.registry import get_method
 from repro.kernels import get_backend
@@ -349,6 +351,15 @@ def _run_case(
         baseline=baseline, kernel_backend=get_backend().name,
         setup_backend=resolve_setup_backend(),
     )
+    # One Algorithm 4 pass serves every filtered method: the sweep runs its
+    # filter-independent prefix at the first pull, then one tail per pull.
+    sweep = sweep_fsaie(
+        a, placement,
+        [m for m in config.methods if get_method(m).uses_filter],
+        config.filters,
+        precalc_rtol=config.precalc_rtol,
+        precalc_iterations=config.precalc_iterations,
+    )
     reference_full: Optional[FSAISetup] = None
     for method in config.methods:
         spec = get_method(method)
@@ -358,16 +369,10 @@ def _run_case(
                 f"use the dedicated config switch for it"
             )
         if spec.uses_filter:
-            for filter_value in config.filters:
-                setup = spec.builder(
-                    a, placement,
-                    filter_value=filter_value,
-                    precalc_rtol=config.precalc_rtol,
-                    precalc_iterations=config.precalc_iterations,
-                )
-                if method == "fsaie_full" and filter_value == 0.01:
+            for key, setup in islice(sweep, len(config.filters)):
+                if key == ("fsaie_full", 0.01):
                     reference_full = setup
-                result.runs[(method, filter_value)] = _evaluate(
+                result.runs[key] = _evaluate(
                     a, b, setup, model, spmv_a_cost, config
                 )
         else:

@@ -21,7 +21,8 @@ Modules
 ``extended``
     End-to-end setups: ``setup_fsai`` (baseline), ``setup_fsaie_sp``
     (Alg. 4 w/o steps 5-6) and ``setup_fsaie_full`` (Alg. 4), plus the
-    single-step joint-extension ablation of §6.
+    single-step joint-extension ablation of §6; ``sweep_fsaie`` builds
+    all three over a filter sweep from one Alg. 4 pass.
 ``cache``
     Bounded LRU of built setups keyed on matrix content, so repeated
     solves against the same operator skip FSAI setup entirely.
@@ -56,6 +57,7 @@ from repro.fsai.extended import (
     setup_fsaie_full,
     setup_fsaie_joint,
     setup_fsaie_random,
+    sweep_fsaie,
 )
 from repro.fsai.global_iter import (
     GlobalIterInfo,
@@ -95,6 +97,7 @@ __all__ = [
     "setup_fsaie_full",
     "setup_fsaie_joint",
     "setup_fsaie_random",
+    "sweep_fsaie",
     "GlobalIterInfo",
     "global_g_chebyshev",
     "global_g_minres",

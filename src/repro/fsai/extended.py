@@ -19,18 +19,23 @@ Method ↔ paper mapping
                           shown by the paper to break cache-friendliness.
 :func:`setup_fsaie_random` §7.3 baseline: random extension at matched
                           per-row entry counts.
+:func:`sweep_fsaie`       Algorithm 4 over a whole filter sweep: the
+                          filter-independent steps once, then one tail per
+                          ``(method, filter)``; the three FSAIE builders
+                          above are its one-method, one-filter calls.
 ========================  ====================================================
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import trace
 from repro.arch.address import ArrayPlacement
+from repro.errors import ConfigurationError
 from repro.fsai.fillin import extend_pattern_cache_friendly
 from repro.fsai.filtering import filter_extension_by_precalc
 from repro.fsai.frobenius import (
@@ -52,6 +57,8 @@ __all__ = [
     "setup_fsaie_full",
     "setup_fsaie_joint",
     "setup_fsaie_random",
+    "sweep_fsaie",
+    "SWEEP_METHODS",
 ]
 
 #: Default *filter* for the headline experiments (best common value, §7.2).
@@ -154,6 +161,161 @@ def setup_fsai(
         )
 
 
+#: Methods :func:`sweep_fsaie` builds: Algorithm 4 and its §6 ablation.
+SWEEP_METHODS: Tuple[str, ...] = ("fsaie_sp", "fsaie_full", "fsaie_joint")
+
+
+@dataclass
+class _SweepPrefix:
+    """Filter-independent output of one sweep: what every tail starts from."""
+
+    base: Pattern
+    #: Step 4 per filter (the filtered first extension ``S_ext``).
+    s_ext: Dict[float, Pattern]
+    #: The joint ablation's filtered union pattern per filter.
+    joint: Dict[float, Pattern]
+    #: ``precalc1`` flops of the first extension and of the joint union.
+    ext1_flops: int = 0
+    joint_flops: int = 0
+
+
+def _sweep_prefix(
+    a: CSRMatrix,
+    placement: ArrayPlacement,
+    methods: Sequence[str],
+    filters: Sequence[float],
+    level: int,
+    threshold: float,
+    precalc_rtol: float,
+    precalc_iterations: int,
+) -> _SweepPrefix:
+    """Steps 1-4 of Algorithm 4 (and the joint union's precalc) once.
+
+    The precalculated factors are filtered at every filter here and then
+    dropped, so only patterns outlive the prefix.
+    """
+    def precalc(pattern: Pattern) -> CSRMatrix:
+        return precalculate_g(
+            a, pattern, rtol=precalc_rtol, max_iterations=precalc_iterations,
+        )
+
+    with trace.span(
+        "fsai.sweep",
+        n=a.n_rows,
+        methods=",".join(methods),
+        filters=",".join(f"{f:g}" for f in filters),
+    ):
+        prefix = _SweepPrefix(
+            base=_base(a, level, threshold), s_ext={}, joint={}
+        )
+        base = prefix.base
+        # Step 2: extend G's pattern (the joint ablation's lower half too).
+        ext1 = extend_pattern_cache_friendly(base, placement, triangular="lower")
+        if "fsaie_sp" in methods or "fsaie_full" in methods:
+            # Steps 3-4: precalculate once, filter at every filter.
+            g_approx = precalc(ext1)
+            prefix.ext1_flops = setup_flops_precalc(ext1, precalc_iterations)
+            prefix.s_ext = {
+                f: filter_extension_by_precalc(g_approx, base, f)
+                for f in filters
+            }
+        if "fsaie_joint" in methods:
+            ext_gt = extend_pattern_cache_friendly(
+                base.transpose(), placement, triangular="upper"
+            ).transpose()
+            union = ext1.union(ext_gt)
+            g_approx = precalc(union)
+            prefix.joint_flops = setup_flops_precalc(union, precalc_iterations)
+            prefix.joint = {
+                f: filter_extension_by_precalc(g_approx, base, f)
+                for f in filters
+            }
+        return prefix
+
+
+def sweep_fsaie(
+    a: CSRMatrix,
+    placement: ArrayPlacement,
+    methods: Sequence[str],
+    filters: Sequence[float],
+    *,
+    level: int = 1,
+    threshold: float = 0.0,
+    precalc_rtol: float = 1e-2,
+    precalc_iterations: int = 20,
+) -> Iterator[Tuple[Tuple[str, float], FSAISetup]]:
+    """Algorithm 4 over a filter sweep: one pass, every ``(method, filter)``.
+
+    Yields ``((method, filter_value), setup)`` in ``methods × filters``
+    order.  Steps 1-3 (initial pattern, cache-friendly extension of ``G``,
+    §5 precalculation) do not depend on *filter*, so they run once per
+    call under one ``fsai.sweep`` span, together with step 4 at every
+    filter and the joint ablation's union precalculation.  FSAIE(sp) is
+    the step-4 exit of the same pass as FSAIE(full): both start from the
+    one ``S_ext`` per filter.  Each ``(method, filter)`` tail then runs
+    under its own ``fsai.setup`` span — the exact ``G`` (step 7), preceded
+    for FSAIE(full) by the transpose extension and its precalculation
+    and filtering (steps 5-6).
+
+    The prefix runs at the first ``next()`` and tails run one per
+    ``next()``, so a consumer holds one tail's set-up at a time.  Each
+    set-up equals the stand-alone ``setup_*`` output in every field,
+    including the ``precalc1`` flops the cost model charges to every
+    stand-alone set-up.
+    """
+    unknown = [m for m in methods if m not in SWEEP_METHODS]
+    if unknown:
+        raise ConfigurationError(
+            f"sweep_fsaie builds {SWEEP_METHODS}, not {unknown}"
+        )
+    if not methods or not filters:
+        return
+    prefix = _sweep_prefix(
+        a, placement, methods, filters,
+        level, threshold, precalc_rtol, precalc_iterations,
+    )
+    for method in methods:
+        for f in filters:
+            with trace.span(
+                "fsai.setup", method=method, n=a.n_rows, filter_value=f
+            ):
+                if method == "fsaie_joint":
+                    final = prefix.joint[f]
+                    flops = {"precalc1": prefix.joint_flops}
+                elif method == "fsaie_sp":
+                    final = prefix.s_ext[f]
+                    flops = {"precalc1": prefix.ext1_flops}
+                else:
+                    # Steps 5-6: extend (S_ext)^T, precalculate, filter.
+                    s_ext = prefix.s_ext[f]
+                    ext2 = extend_pattern_cache_friendly(
+                        s_ext.transpose(), placement, triangular="upper"
+                    ).transpose()  # back to the lower-triangular world of G
+                    g_approx2 = precalculate_g(
+                        a, ext2,
+                        rtol=precalc_rtol, max_iterations=precalc_iterations,
+                    )
+                    final = filter_extension_by_precalc(g_approx2, s_ext, f)
+                    flops = {
+                        "precalc1": prefix.ext1_flops,
+                        "precalc2": setup_flops_precalc(
+                            ext2, precalc_iterations
+                        ),
+                    }
+                # Step 7: exact G on the final pattern.
+                g = compute_g(a, final)
+                flops["direct"] = setup_flops_direct(final)
+                setup = FSAISetup(
+                    method=method,
+                    application=FSAIApplication(g),
+                    base_pattern=prefix.base,
+                    final_pattern=final,
+                    flops=flops,
+                    filter_value=f,
+                )
+            yield (method, f), setup
+
+
 def setup_fsaie_sp(
     a: CSRMatrix,
     placement: ArrayPlacement,
@@ -168,31 +330,14 @@ def setup_fsaie_sp(
 
     Optimises spatial locality of the ``G p`` product; the paper notes the
     extension *also* improves temporal locality of ``G^T q`` for free
-    (§4.3).
+    (§4.3).  A one-filter :func:`sweep_fsaie`.
     """
-    with trace.span(
-        "fsai.setup", method="fsaie_sp", n=a.n_rows, filter_value=filter_value
-    ):
-        base = _base(a, level, threshold)
-        extended = extend_pattern_cache_friendly(
-            base, placement, triangular="lower"
-        )
-        g_approx = precalculate_g(
-            a, extended, rtol=precalc_rtol, max_iterations=precalc_iterations,
-        )
-        s_ext = filter_extension_by_precalc(g_approx, base, filter_value)
-        g = compute_g(a, s_ext)
-        return FSAISetup(
-            method="fsaie_sp",
-            application=FSAIApplication(g),
-            base_pattern=base,
-            final_pattern=s_ext,
-            flops={
-                "precalc1": setup_flops_precalc(extended, precalc_iterations),
-                "direct": setup_flops_direct(s_ext),
-            },
-            filter_value=filter_value,
-        )
+    ((_, setup),) = sweep_fsaie(
+        a, placement, ("fsaie_sp",), (filter_value,), level=level,
+        threshold=threshold, precalc_rtol=precalc_rtol,
+        precalc_iterations=precalc_iterations,
+    )
+    return setup
 
 
 def setup_fsaie_full(
@@ -209,41 +354,14 @@ def setup_fsaie_full(
 
     Step order matters (§6): the transpose extension runs on the *filtered*
     first extension, which is what keeps every added entry cache-friendly
-    for its own product.
+    for its own product.  A one-filter :func:`sweep_fsaie`.
     """
-    with trace.span(
-        "fsai.setup", method="fsaie_full", n=a.n_rows, filter_value=filter_value
-    ):
-        base = _base(a, level, threshold)
-        # Steps 3-4: extend G's pattern, precalculate, filter.
-        ext1 = extend_pattern_cache_friendly(base, placement, triangular="lower")
-        g_approx1 = precalculate_g(
-            a, ext1, rtol=precalc_rtol, max_iterations=precalc_iterations,
-        )
-        s_ext = filter_extension_by_precalc(g_approx1, base, filter_value)
-        # Steps 5-6: extend (S_ext)^T, precalculate, filter.
-        ext2_t = extend_pattern_cache_friendly(
-            s_ext.transpose(), placement, triangular="upper"
-        )
-        ext2 = ext2_t.transpose()  # back to the lower-triangular world of G
-        g_approx2 = precalculate_g(
-            a, ext2, rtol=precalc_rtol, max_iterations=precalc_iterations,
-        )
-        final = filter_extension_by_precalc(g_approx2, s_ext, filter_value)
-        # Step 7: exact G on the final pattern.
-        g = compute_g(a, final)
-        return FSAISetup(
-            method="fsaie_full",
-            application=FSAIApplication(g),
-            base_pattern=base,
-            final_pattern=final,
-            flops={
-                "precalc1": setup_flops_precalc(ext1, precalc_iterations),
-                "precalc2": setup_flops_precalc(ext2, precalc_iterations),
-                "direct": setup_flops_direct(final),
-            },
-            filter_value=filter_value,
-        )
+    ((_, setup),) = sweep_fsaie(
+        a, placement, ("fsaie_full",), (filter_value,), level=level,
+        threshold=threshold, precalc_rtol=precalc_rtol,
+        precalc_iterations=precalc_iterations,
+    )
+    return setup
 
 
 def setup_fsaie_joint(
@@ -263,33 +381,15 @@ def setup_fsaie_joint(
     produce non cache-friendly extended entries": entries added for the
     transposed product land in rows of ``G`` whose cache lines the first
     product never touched (and vice versa after filtering).  The ablation
-    bench quantifies the resulting miss increase.
+    bench quantifies the resulting miss increase.  A one-filter
+    :func:`sweep_fsaie`.
     """
-    with trace.span(
-        "fsai.setup", method="fsaie_joint", n=a.n_rows, filter_value=filter_value
-    ):
-        base = _base(a, level, threshold)
-        ext_g = extend_pattern_cache_friendly(base, placement, triangular="lower")
-        ext_gt = extend_pattern_cache_friendly(
-            base.transpose(), placement, triangular="upper"
-        ).transpose()
-        joint = ext_g.union(ext_gt)
-        g_approx = precalculate_g(
-            a, joint, rtol=precalc_rtol, max_iterations=precalc_iterations,
-        )
-        final = filter_extension_by_precalc(g_approx, base, filter_value)
-        g = compute_g(a, final)
-        return FSAISetup(
-            method="fsaie_joint",
-            application=FSAIApplication(g),
-            base_pattern=base,
-            final_pattern=final,
-            flops={
-                "precalc1": setup_flops_precalc(joint, precalc_iterations),
-                "direct": setup_flops_direct(final),
-            },
-            filter_value=filter_value,
-        )
+    ((_, setup),) = sweep_fsaie(
+        a, placement, ("fsaie_joint",), (filter_value,), level=level,
+        threshold=threshold, precalc_rtol=precalc_rtol,
+        precalc_iterations=precalc_iterations,
+    )
+    return setup
 
 
 def setup_fsaie_random(

@@ -396,7 +396,9 @@ class SolverService:
         for request, result in zip(live, results):
             latency = end - request.submitted
             queued = solve_start - request.submitted
-            self.metrics.record_served(latency, queued)
+            self.metrics.record_served(
+                latency, queued, converged=result.converged
+            )
             trace.event(
                 "serve.request",
                 latency,

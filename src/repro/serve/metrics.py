@@ -34,6 +34,7 @@ class ServiceMetrics:
         self.rejected = 0
         self.timeouts = 0
         self.solved = 0
+        self.not_converged = 0
         self.failed = 0
         self.batches = 0
         self.batched_rhs = 0
@@ -74,10 +75,14 @@ class ServiceMetrics:
             self.solve_seconds.record(solve_seconds)
 
     def record_served(
-        self, latency_seconds: float, queued_seconds: float
+        self, latency_seconds: float, queued_seconds: float, *, converged: bool
     ) -> None:
+        """Count one answered request: ``solved`` only if it converged."""
         with self._lock:
-            self.solved += 1
+            if converged:
+                self.solved += 1
+            else:
+                self.not_converged += 1
             self.latency.record(latency_seconds)
             self.queue_wait.record(queued_seconds)
 
@@ -93,6 +98,7 @@ class ServiceMetrics:
         "rejected",
         "timeouts",
         "solved",
+        "not_converged",
         "failed",
         "batches",
         "batched_rhs",
@@ -173,6 +179,7 @@ class ServiceMetrics:
                 "rejected": self.rejected,
                 "timeouts": self.timeouts,
                 "solved": self.solved,
+                "not_converged": self.not_converged,
                 "failed": self.failed,
                 "batches": self.batches,
                 "batched_rhs": self.batched_rhs,
@@ -206,7 +213,9 @@ class ServiceMetrics:
         return [
             (
                 f"requests: {snap['submitted']} submitted, "
-                f"{snap['solved']} solved, {snap['rejected']} rejected, "
+                f"{snap['solved']} solved, "
+                f"{snap['not_converged']} not converged, "
+                f"{snap['rejected']} rejected, "
                 f"{snap['timeouts']} timed out, {snap['failed']} failed"
             ),
             (

@@ -77,8 +77,8 @@ def pcg(
     a:
         SPD system matrix in CSR form.
     b:
-        Right-hand side.  A NaN or infinity in ``b`` or ``x0`` raises
-        :class:`~repro.errors.NonFiniteError` before any iteration.
+        Right-hand side.  A NaN or infinity in ``b``, ``x0`` or ``a.data``
+        raises :class:`~repro.errors.NonFiniteError` before any iteration.
     preconditioner:
         Object with ``apply``/``flops_per_application``; ``None`` runs plain
         CG (identity preconditioner, zero cost).
@@ -144,6 +144,7 @@ def _pcg(
         raise ShapeError(f"x0 has shape {x.shape}, expected ({n},)")
     require_finite(b, "b")
     require_finite(x, "x0")
+    require_finite(a.data, "A.data")
 
     spmv_flops = 2 * a.nnz
     precond_flops = M.flops_per_application()
@@ -267,7 +268,7 @@ def pcg_multi(
 
     Parameters match :func:`pcg` with ``b`` (and optional ``x0``) shaped
     ``(n, k)``; a 1-D ``b`` raises — use :func:`pcg` for a single vector —
-    and so does a non-finite entry in ``b`` or ``x0``.
+    and so does a non-finite entry in ``b``, ``x0`` or ``a.data``.
     Returns a :class:`~repro.solvers.convergence.MultiSolveResult` whose
     ``columns`` are per-column :class:`SolveResult` objects matching the
     single-RHS path (iterate, iteration count, residuals, optional
@@ -333,6 +334,7 @@ def _pcg_multi(
         x_full = np.ascontiguousarray(x_full)
     require_finite(b, "B")
     require_finite(x_full, "x0")
+    require_finite(a.data, "A.data")
 
     spmv_flops = 2 * a.nnz
     precond_flops = M.flops_per_application()

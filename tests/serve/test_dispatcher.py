@@ -423,3 +423,24 @@ class TestObservability:
         assert snap["mean_batch_size"] > 1.0
         assert snap["latency_seconds"]["p99"] > 0.0
         assert snap["latency_seconds"]["max"] >= snap["latency_seconds"]["p50"]
+
+    def test_non_converged_solves_are_not_counted_solved(self):
+        a = poisson2d(6)
+
+        async def run():
+            async with SolverService(window_seconds=0.0) as service:
+                fp = service.register_operator(a)
+                results = [
+                    await service.solve(fp, _rhs(a, seed), max_iterations=1)
+                    for seed in range(2)
+                ]
+                converged = await service.solve(fp, _rhs(a, 9), rtol=1e-8)
+                return results, converged, service.metrics.snapshot()
+
+        results, converged, snap = asyncio.run(run())
+        assert not any(r.converged for r in results)
+        assert converged.converged
+        assert snap["submitted"] == 3
+        assert snap["solved"] == 1
+        assert snap["not_converged"] == 2
+        assert snap["latency_seconds"]["max"] > 0.0

@@ -23,6 +23,7 @@ def _sample_metrics(seed, samples=17):
     m = ServiceMetrics()
     m.submitted = int(rng.integers(0, 100))
     m.solved = int(rng.integers(0, 100))
+    m.not_converged = int(rng.integers(0, 10))
     m.failed = int(rng.integers(0, 10))
     m.rejected = int(rng.integers(0, 10))
     m.timeouts = int(rng.integers(0, 10))
@@ -108,6 +109,18 @@ class TestMergeAlgebra:
                 )
             else:
                 assert backward[key] == value, key
+
+    def test_pool_merge_adds_not_converged(self):
+        """Worker dicts folded as the pool does keep the two outcomes apart."""
+        a, b = _sample_metrics(7), _sample_metrics(8)
+        merged = ServiceMetrics()
+        for worker in (a, b):
+            merged.merge(ServiceMetrics.from_dict(worker.to_dict()))
+        assert merged.not_converged == a.not_converged + b.not_converged
+        assert merged.solved == a.solved + b.solved
+        snap = merged.snapshot()
+        assert snap["not_converged"] == merged.not_converged
+        assert f"{merged.not_converged} not converged" in merged.summary_lines()[0]
 
     def test_merge_after_pickle_equals_local_merge(self):
         """The pool's actual path: child pickles, parent merges."""
